@@ -59,7 +59,10 @@ class RunConfig:
 
 
 def parse_phase(text: str) -> float:
-    """Parse radians from a number or a `1.35pi` / `pi` / `-pi` shorthand."""
+    """Parse radians from a number or a `1.35pi` / `pi` / `-pi` shorthand.
+
+    Raises ValueError for malformed text and for non-finite results.
+    """
     cleaned = text.strip().lower().replace(" ", "")
     if not cleaned:
         raise ValueError("empty phase")
@@ -69,8 +72,12 @@ def parse_phase(text: str) -> float:
             return math.pi
         if head == "-":
             return -math.pi
-        return float(head) * math.pi
-    return float(cleaned)
+        value = float(head) * math.pi
+    else:
+        value = float(cleaned)
+    if not math.isfinite(value):
+        raise ValueError(f"phase must be finite, got {text!r}")
+    return value
 
 
 def _parse_document(text: str) -> dict[str, dict[str, tuple[str, int]]]:

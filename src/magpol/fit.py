@@ -21,7 +21,7 @@ from scipy.optimize import least_squares
 
 from .errors import DomainError
 from .model import DriveField, SystemParams
-from .spectra import DetuningGrid, trace
+from .spectra import DetuningGrid, _drive_coefficient, _probe_terms_on, trace
 
 _SYSTEM_FIELDS = (
     "coupling_g",
@@ -63,7 +63,10 @@ class BackgroundModel:
     phase_slope: float = 0.0
 
     def apply(self, t: np.ndarray, detunings: np.ndarray) -> np.ndarray:
-        return self.amplitude_scale * np.exp(1j * self.phase_slope * detunings) * t
+        return self._prefactor(detunings) * t
+
+    def _prefactor(self, detunings: np.ndarray) -> np.ndarray:
+        return self.amplitude_scale * np.exp(1j * self.phase_slope * detunings)
 
 
 @dataclass(frozen=True)
@@ -204,16 +207,30 @@ def _candidate(
     return params, BackgroundModel(**background_updates), offset
 
 
+def _shared_terms(cache: list, params: SystemParams, background: BackgroundModel, detunings):
+    """(den, t_probe, background prefactor) on these detunings, computed once
+    per distinct array.  Arrays match by identity or equal values, never by
+    grid equality: a from_values grid keeps its own samples."""
+    for values, terms in cache:
+        if values is detunings or np.array_equal(values, detunings):
+            return terms
+    terms = (*_probe_terms_on(params, detunings), background._prefactor(detunings))
+    cache.append((detunings, terms))
+    return terms
+
+
 def _residual_vector(
     problem: FitProblem,
     params: SystemParams,
     background: BackgroundModel,
     offset: float | None,
 ) -> np.ndarray:
+    cache = []
     parts = []
     for obs in problem.observations:
         drive = obs.drive if offset is None else replace(obs.drive, phase_offset=offset)
-        model = background.apply(trace(params, drive, obs.grid).t, obs.grid.values)
+        den, t_probe, prefactor = _shared_terms(cache, params, background, obs.grid.values)
+        model = prefactor * (t_probe + _drive_coefficient(params, drive) / den)
         if obs.has_phase:
             diff = model - obs.values
             parts.append(diff.real)
@@ -231,7 +248,10 @@ def fit_parameters(
     Runs trust-region least squares from the given starting parameters.
     Candidate parameter sets that violate model validity (for example an
     external rate exceeding its total) are pushed away by a flat penalty
-    residual instead of aborting the solve.
+    residual instead of aborting the solve.  Each residual evaluation computes
+    the drive-independent factors (den, t_probe and the background
+    prefactor) once per distinct detuning grid and shares them across the
+    observations taken on it.
     """
     free = list(problem.free)
     if "phase_slope" in free and not any(o.has_phase for o in problem.observations):

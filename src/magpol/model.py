@@ -119,6 +119,7 @@ class DriveField:
     calibration offset, both in radians.  Phases are stored as given;
     effective_phase reduces their sum to (-pi, pi] for evaluation.
     probe_amp >= 0; zero is allowed only for the degenerate no-drive case.
+    All four must be finite.
     """
 
     ratio_delta: float
@@ -127,6 +128,10 @@ class DriveField:
     probe_amp: float = 1.0
 
     def __post_init__(self):
+        for name in ("ratio_delta", "phase_phi", "phase_offset", "probe_amp"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.ratio_delta < 0.0:
             raise DomainError(f"ratio_delta must be >= 0, got {self.ratio_delta}")
         if self.probe_amp < 0.0:
@@ -163,18 +168,28 @@ def _denominator(params: SystemParams, delta_c, delta_m):
     ) + params.coupling_g**2
 
 
-def _transmission_terms(params: SystemParams, drive: DriveField, delta_c, delta_m):
-    """Probe and pump pathway terms of t_p; accepts scalar or array detunings."""
+def _probe_terms(params: SystemParams, delta_c, delta_m):
+    """(den, t_probe): the drive-independent part of t_p; scalar or array."""
     den = _denominator(params, delta_c, delta_m)
     t_probe = 1.0 - 2.0 * params.kappa_c1 * (1j * delta_m + params.kappa_m) / den
+    return den, t_probe
+
+
+def _pump_coefficient(params: SystemParams, drive: DriveField) -> complex:
+    """Complex scalar c with t_pump = c / den; the only drive-dependent factor."""
     pump_amp = (
         2.0
         * params.coupling_g
         * math.sqrt(params.kappa_c1 * params.kappa_m1)
         * drive.ratio_delta
     )
-    t_pump = 1j * pump_amp * cmath.exp(-1j * drive.effective_phase) / den
-    return t_probe, t_pump
+    return 1j * pump_amp * cmath.exp(-1j * drive.effective_phase)
+
+
+def _transmission_terms(params: SystemParams, drive: DriveField, delta_c, delta_m):
+    """Probe and pump pathway terms of t_p; accepts scalar or array detunings."""
+    den, t_probe = _probe_terms(params, delta_c, delta_m)
+    return t_probe, _pump_coefficient(params, drive) / den
 
 
 def steady_state(

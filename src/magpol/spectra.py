@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .model import DriveField, SystemParams, _transmission_terms
+from .model import DriveField, SystemParams, _probe_terms, _pump_coefficient
 
 DEFAULT_GRID_SPAN = 60.0
 DEFAULT_GRID_COUNT = 1201
@@ -124,16 +124,26 @@ class SpectrumTrace:
         return db
 
 
-def trace(params: SystemParams, drive: DriveField, grid: DetuningGrid | None = None) -> SpectrumTrace:
-    """Complex reflection t_p over a detuning grid (default +-60 MHz, 1201)."""
+def _probe_terms_on(params: SystemParams, detunings: np.ndarray):
+    """(den, t_probe) on probe detunings; shared by every drive."""
+    delta_m = detunings + (params.magnon_freq - params.cavity_freq)
+    return _probe_terms(params, detunings, delta_m)
+
+
+def _drive_coefficient(params: SystemParams, drive: DriveField) -> complex:
+    """The pump coefficient c (t_pump = c / den) of one drive."""
     if drive.probe_amp == 0.0:
         raise DomainError("transmission is undefined for probe_amp == 0")
+    return _pump_coefficient(params, drive)
+
+
+def trace(params: SystemParams, drive: DriveField, grid: DetuningGrid | None = None) -> SpectrumTrace:
+    """Complex reflection t_p over a detuning grid (default +-60 MHz, 1201)."""
+    coefficient = _drive_coefficient(params, drive)
     if grid is None:
         grid = default_grid()
-    delta_c = grid.values
-    delta_m = delta_c + (params.magnon_freq - params.cavity_freq)
-    t_probe, t_pump = _transmission_terms(params, drive, delta_c, delta_m)
-    return SpectrumTrace(grid=grid, t=t_probe + t_pump)
+    den, t_probe = _probe_terms_on(params, grid.values)
+    return SpectrumTrace(grid=grid, t=t_probe + coefficient / den)
 
 
 class SweepAxis(enum.Enum):
@@ -164,12 +174,18 @@ def sweep(
     values,
     grid: DetuningGrid | None = None,
 ) -> SweepMap:
-    """Sweep the pump phase or pump/probe ratio, tracing the spectrum at each value."""
+    """Sweep the pump phase or pump/probe ratio, tracing the spectrum at each value.
+
+    The drive-independent factors (den, t_probe) are computed once for the
+    grid; each value then costs one complex scalar and one add and divide.
+    Each trace equals trace(params, drive, grid) for that value's drive.
+    """
     if grid is None:
         grid = default_grid()
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise DomainError("sweep axis values must be a non-empty 1-d array")
+    den, t_probe = _probe_terms_on(params, grid.values)
     traces = []
     for value in values:
         if axis is SweepAxis.PHASE:
@@ -178,7 +194,8 @@ def sweep(
             drive = replace(base_drive, ratio_delta=float(value))
         else:
             raise DomainError(f"unknown sweep axis {axis!r}")
-        traces.append(trace(params, drive, grid))
+        coefficient = _drive_coefficient(params, drive)
+        traces.append(SpectrumTrace(grid=grid, t=t_probe + coefficient / den))
     values = values.copy()
     values.flags.writeable = False
     return SweepMap(axis=axis, axis_values=values, grid=grid, traces=tuple(traces))

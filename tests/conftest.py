@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from magpol.model import DriveField, SystemParams
 
@@ -59,3 +60,30 @@ def draw_drive():
         )
 
     return _draw
+
+
+@st.composite
+def valid_params(draw) -> SystemParams:
+    """Hypothesis strategy: any valid device over wide rate and frequency ranges."""
+    kappa_c = draw(st.floats(1.0, 300.0))
+    kappa_m = draw(st.floats(0.1, 20.0))
+    return SystemParams(
+        cavity_freq=draw(st.floats(-50.0, 50.0)),
+        magnon_freq=draw(st.floats(-50.0, 50.0)),
+        coupling_g=draw(st.floats(0.0, 40.0)),
+        kappa_c=kappa_c,
+        kappa_m=kappa_m,
+        kappa_c1=kappa_c * draw(st.floats(0.01, 1.0)),
+        kappa_m1=kappa_m * draw(st.floats(0.01, 1.0)),
+    )
+
+
+@st.composite
+def valid_drives(draw) -> DriveField:
+    """Hypothesis strategy: any valid two-tone drive."""
+    return DriveField(
+        ratio_delta=draw(st.floats(0.0, 5.0)),
+        phase_phi=draw(st.floats(-20.0, 20.0)),
+        phase_offset=draw(st.floats(-20.0, 20.0)),
+        probe_amp=draw(st.floats(0.01, 10.0)),
+    )

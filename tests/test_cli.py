@@ -1,10 +1,14 @@
 """End-to-end command-line checks through dispatch()."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import magpol
 from magpol.cli import dispatch
 from magpol.io import TraceFormat, read_trace, write_trace
 from magpol.model import DriveField, SystemParams
@@ -67,6 +71,32 @@ class TestUsageErrors:
         code = dispatch(["classify", "--config", config_path, "--phi", "threepi"])
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("phase", ["inf", "nan", "-infpi"])
+    def test_non_finite_phase(self, config_path, capsys, phase):
+        code = dispatch(["classify", "--config", config_path, f"--phi={phase}"])
+        assert code == 2
+        assert "invalid phase" in capsys.readouterr().err
+
+    def test_non_finite_ratio_is_a_domain_error(self, config_path, capsys):
+        code = dispatch(["classify", "--config", config_path, "--delta", "nan"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ratio_delta must be finite" in captured.err
+
+    def test_python_dash_m_entry_point(self):
+        src = os.path.dirname(os.path.dirname(magpol.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "magpol", "--help"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("usage: magpol")
 
 
 class TestSpectrum:

@@ -52,6 +52,11 @@ class TestParsePhase:
         with pytest.raises(ValueError):
             parse_phase(text)
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "infpi", "nanpi", "1e308pi"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            parse_phase(text)
+
 
 class TestParseConfig:
     def test_full_document(self):
@@ -172,6 +177,16 @@ class TestConfigErrors:
         with pytest.raises(ConfigError) as info:
             parse_config(self._base() + "[drive]\nphi = twopi\n")
         assert info.value.key == "phi"
+
+    @pytest.mark.parametrize(
+        "entry,key,line",
+        [("delta = nan", "delta", 8), ("probe_amp = inf", "probe_amp", 8), ("phi = inf", "phi", 8)],
+    )
+    def test_non_finite_drive_value_names_key_and_line(self, entry, key, line):
+        with pytest.raises(ConfigError) as info:
+            parse_config(self._base() + f"[drive]\n{entry}\n")
+        assert info.value.key == key
+        assert info.value.line == line
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

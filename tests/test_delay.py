@@ -10,7 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import valid_params
 from magpol.delay import (
     DelayTrace,
     TransitionSign,
@@ -37,6 +40,21 @@ def fd_phase_slope_delay(params, drive, detuning, h=1e-4):
     )
     slope = (p_m2 - 8.0 * p_m1 + 8.0 * p_p1 - p_p2) / (12.0 * h)
     return -slope / (2.0 * math.pi)
+
+
+def extremum_reference(params, phase_eff, ratios, grid):
+    """One full group_delay trace per ratio: the plain loop that
+    delay_extremum_vs_ratio must reproduce bit for bit."""
+    out = np.empty(len(ratios))
+    for i, ratio in enumerate(ratios):
+        drive = DriveField.with_effective_phase(float(ratio), phase_eff)
+        tr = group_delay(params, drive, grid, method="analytic")
+        finite = ~tr.diverged
+        if not np.any(finite):
+            raise DomainError(f"all samples diverged at ratio {ratio}")
+        delays = tr.delay[finite]
+        out[i] = delays[int(np.argmax(np.abs(delays)))]
+    return out
 
 
 class TestDelayAt:
@@ -213,3 +231,57 @@ class TestTransition:
             detect_abrupt_transition([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(DomainError, match="equal length"):
             detect_abrupt_transition([0.0, 1.0, 2.0], [1.0, 2.0])
+
+
+class TestExtremumExactness:
+    PHASE = 1.35 * math.pi
+
+    def test_scan_equals_per_ratio_group_delay(self, params):
+        grid = DetuningGrid(-10.0, 10.0, 4001)
+        ratios = np.round(np.arange(0.0, 4.0001, 0.05), 10)
+        result = delay_extremum_vs_ratio(params, self.PHASE, ratios, grid)
+        assert np.array_equal(result, extremum_reference(params, self.PHASE, ratios, grid))
+
+    def test_diverged_samples_at_the_root_are_skipped_identically(self, params):
+        root = find_zero_reflection(params, self.PHASE)
+        # the grid holds the root's detuning exactly, so that sample diverges
+        grid = DetuningGrid.from_values(root.detuning + 0.05 * np.arange(-40, 41))
+        drive = DriveField.with_effective_phase(root.ratio_delta, self.PHASE)
+        assert np.count_nonzero(group_delay(params, drive, grid).diverged) == 1
+        ratios = np.array([0.0, root.ratio_delta, 3.5])
+        result = delay_extremum_vs_ratio(params, self.PHASE, ratios, grid)
+        assert np.array_equal(result, extremum_reference(params, self.PHASE, ratios, grid))
+        assert np.all(np.isfinite(result))
+
+    def test_all_diverged_row_raises(self, params):
+        root = find_zero_reflection(params, self.PHASE)
+        grid = DetuningGrid.from_values([root.detuning, np.nextafter(root.detuning, np.inf)])
+        ratios = [1.0, root.ratio_delta]
+        with pytest.raises(DomainError, match="all samples diverged"):
+            extremum_reference(params, self.PHASE, ratios, grid)
+        with pytest.raises(DomainError, match="all samples diverged"):
+            delay_extremum_vs_ratio(params, self.PHASE, ratios, grid)
+
+    def test_each_ratio_is_still_validated(self, params):
+        grid = DetuningGrid(-10.0, 10.0, 101)
+        with pytest.raises(DomainError, match="ratio_delta must be >= 0"):
+            delay_extremum_vs_ratio(params, self.PHASE, [0.5, -0.1], grid)
+        with pytest.raises(DomainError, match="ratio_delta must be finite"):
+            delay_extremum_vs_ratio(params, self.PHASE, [0.5, math.nan], grid)
+
+    @given(
+        valid_params(),
+        st.floats(-math.pi, math.pi),
+        st.lists(st.floats(0.0, 5.0), min_size=1, max_size=6),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_property_scan_equals_reference(self, params, phase_eff, ratios):
+        grid = DetuningGrid(-10.0, 10.0, 201)
+        try:
+            expected = extremum_reference(params, phase_eff, ratios, grid)
+        except DomainError:
+            with pytest.raises(DomainError):
+                delay_extremum_vs_ratio(params, phase_eff, ratios, grid)
+            return
+        result = delay_extremum_vs_ratio(params, phase_eff, ratios, grid)
+        np.testing.assert_array_equal(result, expected)

@@ -13,6 +13,7 @@ from magpol.fit import (
     FitObservation,
     FitProblem,
     NoiseModel,
+    _residual_vector,
     fit_parameters,
     synthesize_trace,
 )
@@ -34,6 +35,21 @@ def _perturbed(params):
         kappa_m=params.kappa_m * 1.2,
         kappa_c1=params.kappa_c1 * 0.9,
     )
+
+
+def residual_reference(problem, params, background, offset):
+    """One full trace per observation: the plain loop _residual_vector must
+    reproduce bit for bit."""
+    parts = []
+    for obs in problem.observations:
+        drive = obs.drive if offset is None else replace(obs.drive, phase_offset=offset)
+        model = background.apply(trace(params, drive, obs.grid).t, obs.grid.values)
+        if obs.has_phase:
+            diff = model - obs.values
+            parts += [diff.real, diff.imag]
+        else:
+            parts.append(np.abs(model) - obs.values)
+    return np.concatenate(parts)
 
 
 class TestSynthesize:
@@ -183,3 +199,49 @@ class TestFitRecovery:
         assert result.converged
         assert result.values["coupling_g"] == pytest.approx(7.6, rel=1e-6)
         assert result.values["kappa_m"] == pytest.approx(1.2, rel=1e-6)
+
+
+class TestResidualExactness:
+    """The residual shares den, t_probe and the background prefactor across
+    observations on equal detunings; it must equal the per-trace loop."""
+
+    BACKGROUND = BackgroundModel(amplitude_scale=0.95, phase_slope=0.003)
+
+    @staticmethod
+    def _problem(params, grids):
+        observations = [
+            synthesize_trace(params, drive, grid, noise=NoiseModel(40.0), rng=k)
+            for k, (drive, grid) in enumerate(zip(_drives(), grids))
+        ]
+        last = observations[-1]
+        observations[-1] = FitObservation(
+            grid=last.grid, values=np.abs(last.values), drive=last.drive, has_phase=False
+        )
+        return FitProblem(observations=tuple(observations))
+
+    def _check(self, params, grids):
+        problem = self._problem(params, grids)
+        candidate = _perturbed(params)
+        for offset in (None, 0.4):
+            result = _residual_vector(problem, candidate, self.BACKGROUND, offset)
+            expected = residual_reference(problem, candidate, self.BACKGROUND, offset)
+            assert np.array_equal(result, expected)
+
+    def test_one_shared_grid_object(self, params):
+        grid = DetuningGrid(-60.0, 60.0, 241)
+        self._check(params, [grid, grid, grid])
+
+    def test_equal_valued_distinct_grids(self, params):
+        self._check(params, [DetuningGrid(-60.0, 60.0, 241) for _ in range(3)])
+
+    def test_from_values_grid_with_equal_fields_is_not_shared(self, params):
+        grid = DetuningGrid(-60.0, 60.0, 241)
+        shifted = grid.values.copy()
+        shifted[1:-1] += 1e-12  # within the uniformity tolerance
+        twin = DetuningGrid.from_values(shifted)
+        assert twin == grid  # same start, stop and count ...
+        drive = _drives()[1]
+        # ... but other samples, and so another trace
+        assert not np.array_equal(trace(params, drive, twin).t, trace(params, drive, grid).t)
+        self._check(params, [grid, twin, grid])
+        self._check(params, [twin, grid, twin])

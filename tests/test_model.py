@@ -98,6 +98,12 @@ class TestDriveField:
         with pytest.raises(DomainError, match="probe_amp"):
             DriveField(ratio_delta=0.0, probe_amp=-1.0)
 
+    @pytest.mark.parametrize("field", ["ratio_delta", "phase_phi", "phase_offset", "probe_amp"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            replace(DriveField(ratio_delta=1.0), **{field: value})
+
     def test_effective_phase_reduces_to_principal_range(self):
         drive = DriveField(ratio_delta=1.0, phase_phi=0.3)
         assert drive.effective_phase == math.remainder(0.3 + math.pi, math.tau)

@@ -9,9 +9,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import valid_drives, valid_params
 from magpol.errors import DomainError
-from magpol.model import DriveField, transmission
+from magpol.model import DriveField, transmission, transmission_parts
 from magpol.spectra import (
     DetuningGrid,
     RegimeLabel,
@@ -133,6 +135,46 @@ class TestSweep:
     def test_empty_values_rejected(self, params):
         with pytest.raises(DomainError):
             sweep(params, DriveField(ratio_delta=0.0), SweepAxis.RATIO, [])
+
+    @pytest.mark.parametrize(
+        "axis,field,values",
+        [
+            (SweepAxis.PHASE, "phase_phi", np.linspace(-math.pi, math.pi, 17)),
+            (SweepAxis.RATIO, "ratio_delta", np.linspace(0.0, 4.0, 41)),
+        ],
+    )
+    def test_every_trace_equals_its_own_trace_call(self, params, axis, field, values):
+        shifted = replace(params, magnon_freq=1.7)
+        grid = default_grid()
+        base = DriveField(ratio_delta=1.3, phase_phi=0.2, probe_amp=0.7)
+        result = sweep(shifted, base, axis, values, grid)
+        for value, entry in zip(values, result.traces):
+            expected = trace(shifted, replace(base, **{field: float(value)}), grid)
+            assert np.array_equal(entry.t, expected.t)
+
+    def test_each_value_is_still_validated(self, params):
+        base = DriveField(ratio_delta=0.0)
+        with pytest.raises(DomainError, match="ratio_delta must be >= 0"):
+            sweep(params, base, SweepAxis.RATIO, [1.0, -0.5])
+        with pytest.raises(DomainError, match="ratio_delta must be finite"):
+            sweep(params, base, SweepAxis.RATIO, [1.0, math.nan])
+        with pytest.raises(DomainError, match="phase_phi must be finite"):
+            sweep(params, base, SweepAxis.PHASE, [0.0, math.inf])
+        with pytest.raises(DomainError, match="probe_amp"):
+            sweep(params, replace(base, probe_amp=0.0), SweepAxis.RATIO, [1.0])
+
+
+@given(valid_params(), valid_drives())
+@settings(max_examples=50, deadline=None)
+def test_trace_equals_transmission_pointwise(params, drive):
+    grid = DetuningGrid(-60.0, 60.0, 121)
+    result = trace(params, drive, grid)
+    for detuning, value in zip(grid.values, result.t):
+        probe_freq = params.cavity_freq - detuning
+        t_probe, t_pump = transmission_parts(params, drive, probe_freq)
+        # relative to the summed terms (t_probe = 1 - ...), which may cancel
+        scale = max(1.0, abs(t_probe), abs(t_pump))
+        assert abs(value - (t_probe + t_pump)) <= 1e-12 * scale
 
 
 class TestBaselineAndExtremum:
