@@ -44,8 +44,13 @@ _SYSTEM_KEYS = {
     "magnon_freq": "magnon_freq",
 }
 _REQUIRED_SYSTEM_KEYS = ("g", "kappa_c", "kappa_m", "kappa_c1", "kappa_m1")
-_DRIVE_KEYS = ("delta", "phi", "phi0", "probe_amp")
-_GRID_KEYS = ("start", "stop", "count")
+_DRIVE_KEYS = {
+    "delta": "ratio_delta",
+    "phi": "phase_phi",
+    "phi0": "phase_offset",
+    "probe_amp": "probe_amp",
+}
+_GRID_KEYS = {"start": "start", "stop": "stop", "count": "count"}
 _PHASE_KEYS = ("phi", "phi0")
 
 
@@ -116,18 +121,32 @@ def _known_keys(section: str, entries: dict[str, tuple[str, int]], allowed) -> N
             raise ConfigError(f"unknown key in [{section}]", key=key, line=lineno)
 
 
-def _float_entry(entries, key: str, default: float | None = None) -> tuple[float, int]:
+def _float_entry(entries, key: str, default: float | None = None) -> float:
     if key not in entries:
         if default is None:
             raise ConfigError("missing required key", key=key)
-        return default, 0
+        return default
     raw, lineno = entries[key]
     try:
         if key in _PHASE_KEYS:
-            return parse_phase(raw), lineno
-        return float(raw), lineno
+            return parse_phase(raw)
+        return float(raw)
     except ValueError:
         raise ConfigError(f"invalid number {raw!r}", key=key, line=lineno) from None
+
+
+def _build(cls, entries, keys: dict[str, str], values: dict[str, float]):
+    """cls(**values), reporting a DomainError against the offending key.
+
+    Model errors start with the field name; keys maps config key to field.
+    """
+    try:
+        return cls(**values)
+    except DomainError as exc:
+        field = str(exc).split(" ", 1)[0]
+        key = next((k for k, f in keys.items() if f == field), None)
+        line = entries[key][1] if key in entries else None
+        raise ConfigError(str(exc), key=key, line=line) from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -146,34 +165,22 @@ def parse_config(text: str) -> RunConfig:
     _known_keys("drive", drive_entries, _DRIVE_KEYS)
     _known_keys("grid", grid_entries, _GRID_KEYS)
 
-    system_values: dict[str, float] = {}
-    system_lines: dict[str, int] = {}
-    for key, field in _SYSTEM_KEYS.items():
-        default = 0.0 if key not in _REQUIRED_SYSTEM_KEYS else None
-        value, lineno = _float_entry(system_entries, key, default)
-        system_values[field] = value
-        system_lines[key] = lineno
-    try:
-        system = SystemParams(**system_values)
-    except DomainError as exc:
-        key = _offending_system_key(str(exc))
-        raise ConfigError(str(exc), key=key, line=system_lines.get(key)) from exc
-
-    delta, delta_line = _float_entry(drive_entries, "delta", 0.0)
-    phi, _ = _float_entry(drive_entries, "phi", 0.0)
-    phi0, _ = _float_entry(drive_entries, "phi0", math.pi)
-    probe_amp, probe_line = _float_entry(drive_entries, "probe_amp", 1.0)
-    try:
-        drive = DriveField(
-            ratio_delta=delta, phase_phi=phi, phase_offset=phi0, probe_amp=probe_amp
+    system_values = {
+        field: _float_entry(
+            system_entries, key, None if key in _REQUIRED_SYSTEM_KEYS else 0.0
         )
-    except DomainError as exc:
-        key = "delta" if "ratio" in str(exc) else "probe_amp"
-        line = delta_line if key == "delta" else probe_line
-        raise ConfigError(str(exc), key=key, line=line or None) from exc
+        for key, field in _SYSTEM_KEYS.items()
+    }
+    system = _build(SystemParams, system_entries, _SYSTEM_KEYS, system_values)
 
-    start, _ = _float_entry(grid_entries, "start", -60.0)
-    stop, stop_line = _float_entry(grid_entries, "stop", 60.0)
+    drive_values = {
+        "ratio_delta": _float_entry(drive_entries, "delta", 0.0),
+        "phase_phi": _float_entry(drive_entries, "phi", 0.0),
+        "phase_offset": _float_entry(drive_entries, "phi0", math.pi),
+        "probe_amp": _float_entry(drive_entries, "probe_amp", 1.0),
+    }
+    drive = _build(DriveField, drive_entries, _DRIVE_KEYS, drive_values)
+
     count = 1201
     if "count" in grid_entries:
         raw, lineno = grid_entries["count"]
@@ -181,21 +188,14 @@ def parse_config(text: str) -> RunConfig:
             count = int(raw)
         except ValueError:
             raise ConfigError(f"invalid integer {raw!r}", key="count", line=lineno) from None
-    try:
-        grid = DetuningGrid(start=start, stop=stop, count=count)
-    except DomainError as exc:
-        key = "count" if "count" in str(exc) else "stop"
-        lineno = grid_entries.get(key, (None, None))[1]
-        raise ConfigError(str(exc), key=key, line=lineno) from exc
+    grid_values = {
+        "start": _float_entry(grid_entries, "start", -60.0),
+        "stop": _float_entry(grid_entries, "stop", 60.0),
+        "count": count,
+    }
+    grid = _build(DetuningGrid, grid_entries, _GRID_KEYS, grid_values)
 
     return RunConfig(system=system, drive=drive, grid=grid)
-
-
-def _offending_system_key(message: str) -> str:
-    for key in ("kappa_c1", "kappa_m1", "kappa_c", "kappa_m"):
-        if key in message:
-            return key
-    return "g"
 
 
 def load_config(path) -> RunConfig:

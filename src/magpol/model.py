@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import DomainError, SingularityError
 
@@ -62,7 +62,7 @@ class SystemParams:
     cavity_freq / magnon_freq are the bare mode frequencies; either may be 0
     when working purely in detuning space.  kappa_c1 (kappa_m1) is the
     external portion of kappa_c (kappa_m), so eta_c = kappa_c1/kappa_c must
-    not exceed 1.
+    not exceed 1.  All seven must be finite.
     """
 
     cavity_freq: float
@@ -74,6 +74,10 @@ class SystemParams:
     kappa_m1: float
 
     def __post_init__(self):
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if not math.isfinite(value):
+                raise DomainError(f"{item.name} must be finite, got {value}")
         for name in ("kappa_c", "kappa_m", "kappa_c1", "kappa_m1"):
             value = getattr(self, name)
             if not value > 0.0:

@@ -1,9 +1,19 @@
 """Time-domain oracle for the closed-form steady state.
 
-Integrates the rotating-frame equations of motion with a fixed-step RK4
-kernel until the amplitudes settle, then reports them in the same
-normalization as model.steady_state.  This is deliberately an independent
-route to the same numbers: the closed form never enters the integration.
+Integrates the rotating-frame equations of motion x' = A x + f, with
+x = (a, m), by fixed-step RK4 from rest until the amplitudes settle, then
+reports them in the same normalization as model.steady_state.  This is
+deliberately an independent route to the same numbers: the closed form never
+enters the integration.
+
+Because A and f are constant, one RK4 step of size h is exactly the affine
+map x -> M x + c with M = R(hA), where R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
+is the RK4 stability function (Hairer & Wanner, Solving ODEs II, sec. IV.2),
+and c = h (I + hA/2 + (hA)^2/6 + (hA)^3/24) f.  The map of a whole settle
+window of n steps, x -> M^n x + (sum_{k<n} M^k) c, is built once per
+integration by binary powering of the augmented 3x3 step matrix, and the
+windows are then iterated one map application each.  The iterates are those
+of stepwise RK4 up to rounding.
 
 Internally everything is converted to angular units (rad/us = 2*pi*MHz),
 including the drive terms sqrt(2*eta*kappa)*amplitude; reported amplitudes
@@ -17,27 +27,31 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, IntegrationTimeout
 from .model import DriveField, ModeAmplitudes, SystemParams, output_field
 
-try:
-    from . import _kernel as _impl
-except ImportError:  # extension not built; use the slow twin
-    from . import _kernel_py as _impl
-
 _TWO_PI = 2.0 * math.pi
+_TINY = 1e-300
 
 
 def kernel_backend() -> str:
-    """Name of the active integrator backend ("compiled" or "python")."""
-    return _impl.BACKEND
+    """Name of the integrator backend: always "python".
+
+    There is a single numpy integrator.  The name is kept as a constant
+    because benchmark results record it (and refuse to compare results whose
+    backends differ) and oracle-check prints it.
+    """
+    return "python"
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Fixed-step integrator settings.
 
-    step and max_time are in us; None means derive from the system: step
+    Each given value must be positive and finite.  step and max_time are in us;
+    None means derive from the system: step
     0.01/(2*pi*f_max) with f_max the largest rate or detuning in MHz, and
     max_time 3*(ln(1/settle_tol)+5)/(2*pi*min(kappa_c, kappa_m)), which stays
     above 10/min(kappa) for settle_tol <= 1e-10.
@@ -48,12 +62,10 @@ class IntegratorConfig:
     max_time: float | None = None
 
     def __post_init__(self):
-        if self.step is not None and not self.step > 0.0:
-            raise DomainError(f"step must be positive, got {self.step}")
-        if not self.settle_tol > 0.0:
-            raise DomainError(f"settle_tol must be positive, got {self.settle_tol}")
-        if self.max_time is not None and not self.max_time > 0.0:
-            raise DomainError(f"max_time must be positive, got {self.max_time}")
+        for name in ("step", "settle_tol", "max_time"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
 def _resolved(
@@ -72,6 +84,38 @@ def _resolved(
     decay_time = 1.0 / (_TWO_PI * kappa_min)
     n_window = max(1, int(decay_time / step))
     return step, max_time, n_window
+
+
+def _run_windows(za, zm, ig, fa, fm, h, n_window, settle_tol, max_steps):
+    """RK4 for da/dt = za*a - ig*m + fa, dm/dt = zm*m - ig*a + fm from rest.
+
+    Coefficients are complex and in angular units (rad per time unit of h).
+    Windows of n_window steps are applied until the relative change of both
+    amplitudes over one window is at most settle_tol, or until at least
+    max_steps steps have been taken.
+
+    Returns (a, m, steps_taken, settled, last_change).
+    """
+    z = h * np.array([[za, -ig], [-ig, zm]])
+    eye = np.eye(2)
+    poly = eye + z @ (eye / 2.0 + z @ (eye / 6.0 + z / 24.0))
+    step_map = np.eye(3, dtype=complex)
+    step_map[:2, :2] = eye + z @ poly
+    step_map[:2, 2] = h * (poly @ np.array([fa, fm]))
+    window = np.linalg.matrix_power(step_map, n_window)
+    (waa, wam, wa), (wma, wmm, wm) = window[:2].tolist()
+    a = m = 0j
+    steps = 0
+    change = math.inf
+    while steps < max_steps:
+        a0, m0 = a, m
+        a = waa * a0 + wam * m0 + wa
+        m = wma * a0 + wmm * m0 + wm
+        steps += n_window
+        change = max(abs(a - a0) / (abs(a) + _TINY), abs(m - m0) / (abs(m) + _TINY))
+        if change <= settle_tol:
+            return a, m, steps, True, change
+    return a, m, steps, False, change
 
 
 def integrate_to_steady(
@@ -104,7 +148,7 @@ def integrate_to_steady(
         * cmath.exp(-1j * drive.effective_phase)
     )
 
-    a, m, steps, settled, change = _impl.run(
+    a, m, steps, settled, change = _run_windows(
         za, zm, ig, fa, fm, step, n_window, config.settle_tol, max_steps
     )
     if not settled:

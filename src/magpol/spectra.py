@@ -26,6 +26,9 @@ from .model import DriveField, SystemParams, _probe_terms, _pump_coefficient
 
 DEFAULT_GRID_SPAN = 60.0
 DEFAULT_GRID_COUNT = 1201
+# Largest sample count a DetuningGrid accepts: one complex trace of this
+# length is 16 MB, and a sweep holds one such trace per axis value.
+MAX_GRID_COUNT = 1_000_000
 
 _GRID_UNIFORM_RTOL = 1e-9
 
@@ -39,7 +42,10 @@ def to_db(magnitude: float) -> float:
 
 @dataclass(frozen=True)
 class DetuningGrid:
-    """Uniform detuning grid [start, stop] MHz with count samples."""
+    """Uniform detuning grid [start, stop] MHz with count samples.
+
+    start and stop must be finite, and 2 <= count <= MAX_GRID_COUNT.
+    """
 
     start: float
     stop: float
@@ -47,11 +53,17 @@ class DetuningGrid:
 
     def __post_init__(self):
         if self.count < 2:
-            raise DomainError(f"grid needs at least 2 samples, got {self.count}")
-        if not self.stop > self.start:
+            raise DomainError(f"count must be at least 2, got {self.count}")
+        if self.count > MAX_GRID_COUNT:
             raise DomainError(
-                f"grid stop ({self.stop}) must exceed start ({self.start})"
+                f"count must be at most {MAX_GRID_COUNT}, got {self.count}"
             )
+        for name in ("start", "stop"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+        if not self.stop > self.start:
+            raise DomainError(f"stop ({self.stop}) must exceed start ({self.start})")
 
     @property
     def spacing(self) -> float:

@@ -379,7 +379,7 @@ class TestOracleCheck:
         assert code == 0
         values = _parse_keyed_lines(capsys.readouterr().out)
         assert values["count"] == "3"
-        assert values["backend"] in {"compiled", "python"}
+        assert values["backend"] == "python"
         assert float(values["max_rel_error"]) < 1e-8
 
     def test_rejects_nonpositive_count(self, config_path, capsys):
@@ -397,6 +397,19 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "kappa_c1" in err
+
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [("classify", "g", "nan"), ("oracle-check", "kappa_c", "inf")],
+    )
+    def test_non_finite_config_value(self, tmp_path, capsys, command, key, value):
+        config = _write_config(tmp_path / "bad.toml", **{key: value})
+        assert dispatch([command, "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert f"key '{key}'" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = dispatch(["spectrum", "--config", str(tmp_path / "absent.toml")])

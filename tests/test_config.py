@@ -6,6 +6,7 @@ import pytest
 
 from magpol.config import load_config, parse_config, parse_phase
 from magpol.errors import ConfigError
+from magpol.spectra import MAX_GRID_COUNT
 
 FULL_DOCUMENT = """\
 # reference device
@@ -185,6 +186,25 @@ class TestConfigErrors:
     def test_non_finite_drive_value_names_key_and_line(self, entry, key, line):
         with pytest.raises(ConfigError) as info:
             parse_config(self._base() + f"[drive]\n{entry}\n")
+        assert info.value.key == key
+        assert info.value.line == line
+
+    @pytest.mark.parametrize(
+        "overrides,extra,key,line",
+        [
+            ({"g": "nan"}, "", "g", 2),
+            ({"kappa_c": "inf"}, "", "kappa_c", 3),
+            ({"cavity_freq": "nan"}, "", "cavity_freq", 7),
+            ({"magnon_freq": "inf"}, "", "magnon_freq", 7),
+            ({}, "[grid]\nstart = -inf\n", "start", 8),
+            ({}, "[grid]\nstop = nan\n", "stop", 8),
+            ({}, f"[grid]\ncount = {MAX_GRID_COUNT + 1}\n", "count", 8),
+            ({}, "[grid]\ncount = 1\n", "count", 8),
+        ],
+    )
+    def test_domain_errors_name_key_and_line(self, overrides, extra, key, line):
+        with pytest.raises(ConfigError) as info:
+            parse_config(self._base(**overrides) + extra)
         assert info.value.key == key
         assert info.value.line == line
 

@@ -76,6 +76,22 @@ class TestSystemParams:
         with pytest.raises(DomainError, match="coupling_g"):
             replace(params, coupling_g=-1.0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("coupling_g", math.nan),
+            ("cavity_freq", math.nan),
+            ("magnon_freq", math.inf),
+            ("kappa_c", math.inf),
+            ("kappa_m", -math.inf),
+            ("kappa_c1", math.nan),
+            ("kappa_m1", math.inf),
+        ],
+    )
+    def test_non_finite_fields_rejected(self, params, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            replace(params, **{field: value})
+
     def test_external_rate_cannot_exceed_total(self, params):
         with pytest.raises(DomainError, match="kappa_c1"):
             replace(params, kappa_c1=200.0)

@@ -15,6 +15,7 @@ from conftest import valid_drives, valid_params
 from magpol.errors import DomainError
 from magpol.model import DriveField, transmission, transmission_parts
 from magpol.spectra import (
+    MAX_GRID_COUNT,
     DetuningGrid,
     RegimeLabel,
     RegimeThresholds,
@@ -52,6 +53,18 @@ class TestDetuningGrid:
             DetuningGrid(1.0, 1.0, 5)
         with pytest.raises(DomainError):
             DetuningGrid(2.0, -2.0, 5)
+
+    @pytest.mark.parametrize(
+        "start,stop,name",
+        [(-1.0, math.inf, "stop"), (math.nan, 1.0, "start"), (-math.inf, 1.0, "start")],
+    )
+    def test_rejects_non_finite_bounds(self, start, stop, name):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            DetuningGrid(start, stop, 5)
+
+    def test_count_is_capped_before_allocation(self):
+        with pytest.raises(DomainError, match=f"at most {MAX_GRID_COUNT}"):
+            DetuningGrid(-1.0, 1.0, MAX_GRID_COUNT + 1)
 
     def test_from_values_round_trip(self):
         original = DetuningGrid(-3.0, 3.0, 61)
