@@ -37,6 +37,23 @@ def _phase_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid phase {text!r}") from exc
 
 
+def _finite_arg(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_arg(text: str) -> float:
+    value = _finite_arg(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _add_config_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--config", required=True, help="path to the run configuration file"
@@ -97,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--phase-eff", type=_phase_arg, required=True, help="effective pump phase"
     )
-    p.add_argument("--max-ratio", type=float, help="reject roots above this ratio")
+    p.add_argument("--max-ratio", type=_finite_arg, help="reject roots above this ratio")
 
     p = sub.add_parser("classify", help="interference regime label")
     _add_config_option(p)
@@ -121,7 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_option(p)
     p.add_argument("--count", type=int, default=20, help="number of random draws")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8, help="relative error bound")
+    p.add_argument(
+        "--tol", type=_positive_arg, default=1e-8, help="relative error bound"
+    )
 
     return parser
 
@@ -269,7 +288,7 @@ def _cmd_oracle_check(config: RunConfig, args: argparse.Namespace) -> int:
     if args.count < 1:
         raise MagpolError("count must be at least 1")
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
+    errors = []
     for _ in range(args.count):
         params = SystemParams(
             cavity_freq=0.0,
@@ -288,13 +307,14 @@ def _cmd_oracle_check(config: RunConfig, args: argparse.Namespace) -> int:
         probe_freq = params.cavity_freq - detuning
         exact = transmission(params, drive, probe_freq)
         integrated = oracle_mod.oracle_transmission(params, drive, probe_freq)
-        worst = max(worst, abs(integrated - exact) / max(abs(exact), 1e-30))
+        errors.append(abs(integrated - exact) / max(abs(exact), 1e-30))
+    worst = float(np.max(errors))  # NaN propagates, unlike max()
     sys.stdout.write(
         "backend = {}\ncount = {}\nmax_rel_error = {}\n".format(
             oracle_mod.kernel_backend(), args.count, _fmt(worst)
         )
     )
-    if worst > args.tol:
+    if not worst <= args.tol:
         print(f"max relative error {worst:.3e} exceeds tol {args.tol:.3e}", file=sys.stderr)
         return 1
     return 0

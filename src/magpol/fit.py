@@ -8,6 +8,15 @@ contribute their real and imaginary parts as separate residual rows.
 The instrument background is modelled as a complex prefactor
 amplitude_scale * exp(i * phase_slope * detuning) applied to the ideal
 response, which absorbs insertion loss and uncompensated electrical length.
+
+The fit is scipy's trust-region reflective least squares (Branch, Coleman &
+Li, SIAM J. Sci. Comput. 21, 1999) with the Jacobian in closed form.  The
+response is rational: with zc = i*Delta + kappa_c, zm = i*Delta_m + kappa_m,
+den = zc*zm + g**2 and the pump coefficient c, t = 1 + N/den with
+N = c - 2*kappa_c1*zm, so every parameter derivative is
+dt/dp = (dN/dp - (t - 1)*dden/dp) / den.  Candidates that are not a valid
+model get a flat penalty residual and a zero Jacobian, which is what finite
+differences give inside the flat region.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import DomainError
-from .model import DriveField, SystemParams
+from .model import DriveField, SystemParams, _pump_coefficient
 from .spectra import DetuningGrid, _drive_coefficient, _probe_terms_on, trace
 
 _SYSTEM_FIELDS = (
@@ -51,7 +60,8 @@ _DEFAULT_BOUNDS = {
 }
 
 _GRADIENT_RTOL = 1e-8
-_DEGENERATE_COLUMN_RTOL = 1e-10
+_NULL_SPACE_RTOL = 1e-10
+_NULL_COMPONENT_TOL = 1e-6
 _PENALTY = 1e6
 
 
@@ -129,9 +139,13 @@ class FitProblem:
 class FitResult:
     """Fitted parameters with per-parameter uncertainties.
 
-    stderr entries are infinite for parameters the data did not constrain
-    (near-zero Jacobian column).  converged requires the projected gradient
-    to be small relative to the residual norm.
+    stderr comes from an SVD of the exact Jacobian at the solution, with
+    each column scaled to unit norm.  A parameter with a component above
+    1e-6 in its numerical null space (singular values at or below 1e-10 of
+    the largest) is not identified by the data and gets inf: one with a
+    zero column, or cavity_freq and magnon_freq when both are free, since
+    only their difference enters the response.  converged requires the
+    gradient J^T r to be small relative to the residual norm.
     """
 
     params: SystemParams
@@ -207,14 +221,31 @@ def _candidate(
     return params, BackgroundModel(**background_updates), offset
 
 
-def _shared_terms(cache: list, params: SystemParams, background: BackgroundModel, detunings):
-    """(den, t_probe, background prefactor) on these detunings, computed once
-    per distinct array.  Arrays match by identity or equal values, never by
-    grid equality: a from_values grid keeps its own samples."""
+def _residual_terms(params: SystemParams, background: BackgroundModel, detunings):
+    """(den, t_probe, background prefactor): the residual's drive-free factors."""
+    return (*_probe_terms_on(params, detunings), background._prefactor(detunings))
+
+
+def _jacobian_terms(params: SystemParams, background: BackgroundModel, detunings):
+    """(zc, zm, den, exp(i*s*Delta), prefactor, prefactor/den): the
+    Jacobian's drive-free factors, with den = zc*zm + g**2 and
+    prefactor = A*exp(i*s*Delta)."""
+    zc = 1j * detunings + params.kappa_c
+    zm = 1j * (detunings + (params.magnon_freq - params.cavity_freq)) + params.kappa_m
+    den = zc * zm + params.coupling_g**2
+    rotation = np.exp(1j * background.phase_slope * detunings)
+    prefactor = background.amplitude_scale * rotation
+    return zc, zm, den, rotation, prefactor, prefactor / den
+
+
+def _shared_terms(cache: list, compute, params, background, detunings):
+    """compute(params, background, detunings), evaluated once per distinct
+    detuning array.  Arrays match by identity or equal values, never by grid
+    equality: a from_values grid keeps its own samples."""
     for values, terms in cache:
         if values is detunings or np.array_equal(values, detunings):
             return terms
-    terms = (*_probe_terms_on(params, detunings), background._prefactor(detunings))
+    terms = compute(params, background, detunings)
     cache.append((detunings, terms))
     return terms
 
@@ -229,7 +260,9 @@ def _residual_vector(
     parts = []
     for obs in problem.observations:
         drive = obs.drive if offset is None else replace(obs.drive, phase_offset=offset)
-        den, t_probe, prefactor = _shared_terms(cache, params, background, obs.grid.values)
+        den, t_probe, prefactor = _shared_terms(
+            cache, _residual_terms, params, background, obs.grid.values
+        )
         model = prefactor * (t_probe + _drive_coefficient(params, drive) / den)
         if obs.has_phase:
             diff = model - obs.values
@@ -240,18 +273,109 @@ def _residual_vector(
     return np.concatenate(parts)
 
 
+def _response_partials(name, params, drive, c, zc, zm):
+    """(dN/dp, dden/dp) for a parameter p of t = 1 + N/den, where
+    N = c - 2*kappa_c1*zm and c is the pump coefficient of this drive."""
+    kappa_c1 = params.kappa_c1
+    if name == "coupling_g":
+        # c is linear in g, so dc/dg is c at unit coupling
+        unit = _pump_coefficient(replace(params, coupling_g=1.0), drive)
+        return unit, 2.0 * params.coupling_g
+    if name == "kappa_c":
+        return 0.0, zm
+    if name == "kappa_m":
+        return -2.0 * kappa_c1, zc
+    if name == "kappa_c1":
+        return c / (2.0 * kappa_c1) - 2.0 * zm, 0.0
+    if name == "kappa_m1":
+        return c / (2.0 * params.kappa_m1), 0.0
+    # Delta_m = Delta + magnon_freq - cavity_freq: the two frequencies enter
+    # only through their difference, and their columns are exact negatives
+    if name == "cavity_freq":
+        return 2j * kappa_c1, -1j * zc
+    if name == "magnon_freq":
+        return -2j * kappa_c1, 1j * zc
+    return -1j * c, 0.0  # phase_offset
+
+
+def _jacobian(
+    problem: FitProblem,
+    params: SystemParams,
+    background: BackgroundModel,
+    offset: float | None,
+) -> np.ndarray:
+    """d(residual)/dx in closed form, rows in _residual_vector's order.
+
+    With t = 1 + N/den and model = prefactor * t, a response parameter p
+    gives dt/dp = (dN/dp - (t - 1) * dden/dp) / den; amplitude_scale and
+    phase_slope differentiate the prefactor.  Magnitude rows are
+    Re(conj(model) * dmodel) / |model|, and 0 where the model vanishes.
+    """
+    cache = []
+    blocks = []
+    for obs in problem.observations:
+        drive = obs.drive if offset is None else replace(obs.drive, phase_offset=offset)
+        detunings = obs.grid.values
+        zc, zm, den, rotation, prefactor, scaled = _shared_terms(
+            cache, _jacobian_terms, params, background, detunings
+        )
+        c = _drive_coefficient(params, drive)
+        q = (c - 2.0 * params.kappa_c1 * zm) / den
+        t = 1.0 + q
+        model = prefactor * t
+        dmodel = np.empty((len(problem.free), detunings.size), dtype=complex)
+        for k, name in enumerate(problem.free):
+            if name == "amplitude_scale":
+                dmodel[k] = rotation * t
+            elif name == "phase_slope":
+                dmodel[k] = 1j * detunings * model
+            else:
+                d_num, d_den = _response_partials(name, params, drive, c, zc, zm)
+                dmodel[k] = scaled * (d_num - q * d_den)
+        if obs.has_phase:
+            blocks += [dmodel.real.T, dmodel.imag.T]
+        else:
+            magnitude = np.abs(model)
+            weight = np.divide(
+                model.conj(), magnitude, out=np.zeros_like(model), where=magnitude > 0.0
+            )
+            blocks.append((weight * dmodel).real.T)
+    return np.concatenate(blocks)
+
+
+def _objective(x: np.ndarray, problem: FitProblem, initial: SystemParams) -> np.ndarray:
+    """The residual at x, or a flat penalty where x is not a valid model."""
+    try:
+        return _residual_vector(problem, *_candidate(problem, initial, x))
+    except DomainError:
+        return np.full(sum(o.residual_size for o in problem.observations), _PENALTY)
+
+
+def _objective_jacobian(
+    x: np.ndarray, problem: FitProblem, initial: SystemParams
+) -> np.ndarray:
+    """The Jacobian of _objective: exact, and zero on the flat penalty."""
+    try:
+        return _jacobian(problem, *_candidate(problem, initial, x))
+    except DomainError:
+        m = sum(o.residual_size for o in problem.observations)
+        return np.zeros((m, len(problem.free)))
+
+
 def fit_parameters(
     problem: FitProblem, initial: SystemParams
 ) -> FitResult:
     """Fit the free parameters to all observations simultaneously.
 
-    Runs trust-region least squares from the given starting parameters.
-    Candidate parameter sets that violate model validity (for example an
-    external rate exceeding its total) are pushed away by a flat penalty
-    residual instead of aborting the solve.  Each residual evaluation computes
-    the drive-independent factors (den, t_probe and the background
-    prefactor) once per distinct detuning grid and shares them across the
-    observations taken on it.
+    Runs trust-region least squares from the given starting parameters,
+    with the analytic Jacobian of the rational response (one residual
+    evaluation per trial step, none for derivatives).  Candidate parameter
+    sets that violate model validity (for example an external rate exceeding
+    its total) are pushed away by a flat penalty residual, whose Jacobian is
+    zero, instead of aborting the solve.  Each residual and Jacobian
+    evaluation computes the drive-independent factors (den, zm and the
+    background prefactor) once per distinct detuning grid and shares them
+    across the observations taken on it.
     """
     free = list(problem.free)
     if "phase_slope" in free and not any(o.has_phase for o in problem.observations):
@@ -268,18 +392,11 @@ def fit_parameters(
     upper = np.array(
         [problem.bounds.get(n, _DEFAULT_BOUNDS[n])[1] for n in free]
     )
-    m = sum(obs.residual_size for obs in problem.observations)
-
-    def objective(x: np.ndarray) -> np.ndarray:
-        try:
-            params, background, offset = _candidate(problem, initial, x)
-            return _residual_vector(problem, params, background, offset)
-        except DomainError:
-            return np.full(m, _PENALTY)
-
     result = least_squares(
-        objective,
+        _objective,
         x0,
+        jac=_objective_jacobian,
+        args=(problem, initial),
         bounds=(lower, upper),
         method="trf",
         x_scale="jac",
@@ -292,7 +409,7 @@ def fit_parameters(
     grad_inf = float(np.max(np.abs(result.grad))) if result.grad.size else 0.0
     converged = grad_inf < _GRADIENT_RTOL * max(1.0, residual_norm)
 
-    stderr = _standard_errors(result.jac, residual_norm, len(free))
+    stderr = _standard_errors(result.jac, residual_norm)
     return FitResult(
         params=params,
         background=background,
@@ -309,20 +426,23 @@ def fit_parameters(
     )
 
 
-def _standard_errors(jac: np.ndarray, residual_norm: float, n: int) -> list[float]:
-    m = jac.shape[0]
-    column_norms = np.linalg.norm(jac, axis=0)
-    max_norm = float(np.max(column_norms)) if n else 0.0
-    degenerate = column_norms < _DEGENERATE_COLUMN_RTOL * max_norm
-    dof = m - n
-    if dof <= 0:
+def _standard_errors(jac: np.ndarray, residual_norm: float) -> list[float]:
+    """Standard errors from an SVD of the column-scaled Jacobian.
+
+    Singular values at or below _NULL_SPACE_RTOL times the largest span the
+    numerical null space; a parameter whose unit vector has a component above
+    _NULL_COMPONENT_TOL in it is not identified and gets inf.  The others get
+    the square root of the diagonal of the pseudo-inverse covariance
+    (J^T J)^+ * residual_norm**2 / (m - n).
+    """
+    m, n = jac.shape
+    if m <= n:
         return [math.inf] * n
-    variance = residual_norm**2 / dof
-    covariance = np.linalg.pinv(jac.T @ jac) * variance
-    errors = []
-    for i in range(n):
-        if degenerate[i]:
-            errors.append(math.inf)
-        else:
-            errors.append(float(math.sqrt(max(covariance[i, i], 0.0))))
-    return errors
+    norms = np.linalg.norm(jac, axis=0)
+    scale = np.where(norms > 0.0, norms, 1.0)
+    _, singular, vt = np.linalg.svd(jac / scale, full_matrices=False)
+    null = singular <= _NULL_SPACE_RTOL * singular[0]
+    unidentified = np.linalg.norm(vt[null], axis=0) > _NULL_COMPONENT_TOL
+    inverse_diag = np.sum((vt[~null] / singular[~null, None]) ** 2, axis=0)
+    errors = np.sqrt(inverse_diag * (residual_norm**2 / (m - n))) / scale
+    return [math.inf if bad else float(e) for bad, e in zip(unidentified, errors)]

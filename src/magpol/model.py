@@ -32,6 +32,12 @@ from .errors import DomainError, SingularityError
 
 ETA_CRITICAL_TOL = 1e-12
 DENOMINATOR_GUARD = 1e-15
+# Largest magnitude (MHz) of a SystemParams field or a DetuningGrid bound.
+# The response, the zero-reflection quadratic and the fit Jacobian multiply
+# at most four such magnitudes, with coefficients below 250; at this cap even
+# a product of six, with coefficients up to 1e8, stays below the largest
+# double (about 1.8e308), so no finite input can overflow them.
+MAX_MAGNITUDE = 1e50
 
 
 class CouplingRegime(enum.Enum):
@@ -62,7 +68,8 @@ class SystemParams:
     cavity_freq / magnon_freq are the bare mode frequencies; either may be 0
     when working purely in detuning space.  kappa_c1 (kappa_m1) is the
     external portion of kappa_c (kappa_m), so eta_c = kappa_c1/kappa_c must
-    not exceed 1.  All seven must be finite.
+    not exceed 1.  All seven must be finite and at most MAX_MAGNITUDE in
+    magnitude.
     """
 
     cavity_freq: float
@@ -78,6 +85,10 @@ class SystemParams:
             value = getattr(self, item.name)
             if not math.isfinite(value):
                 raise DomainError(f"{item.name} must be finite, got {value}")
+            if abs(value) > MAX_MAGNITUDE:
+                raise DomainError(
+                    f"{item.name} must be at most {MAX_MAGNITUDE:g} in magnitude, got {value}"
+                )
         for name in ("kappa_c", "kappa_m", "kappa_c1", "kappa_m1"):
             value = getattr(self, name)
             if not value > 0.0:

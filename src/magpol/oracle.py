@@ -50,7 +50,9 @@ def kernel_backend() -> str:
 class IntegratorConfig:
     """Fixed-step integrator settings.
 
-    Each given value must be positive and finite.  step and max_time are in us;
+    Each given value must be positive and finite, and settle_tol must be
+    below 1 (a window change of 100% or more settles nothing; the automatic
+    max_time would be negative).  step and max_time are in us;
     None means derive from the system: step
     0.01/(2*pi*f_max) with f_max the largest rate or detuning in MHz, and
     max_time 3*(ln(1/settle_tol)+5)/(2*pi*min(kappa_c, kappa_m)), which stays
@@ -66,6 +68,8 @@ class IntegratorConfig:
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise DomainError(f"{name} must be positive and finite, got {value}")
+        if not self.settle_tol < 1.0:
+            raise DomainError(f"settle_tol must be below 1, got {self.settle_tol}")
 
 
 def _resolved(

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .model import DriveField, SystemParams, _probe_terms, _pump_coefficient
+from .model import MAX_MAGNITUDE, DriveField, SystemParams, _probe_terms, _pump_coefficient
 
 DEFAULT_GRID_SPAN = 60.0
 DEFAULT_GRID_COUNT = 1201
@@ -44,7 +44,8 @@ def to_db(magnitude: float) -> float:
 class DetuningGrid:
     """Uniform detuning grid [start, stop] MHz with count samples.
 
-    start and stop must be finite, and 2 <= count <= MAX_GRID_COUNT.
+    start and stop must be finite and at most model.MAX_MAGNITUDE in
+    magnitude, and 2 <= count <= MAX_GRID_COUNT.
     """
 
     start: float
@@ -62,6 +63,10 @@ class DetuningGrid:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
+            if abs(value) > MAX_MAGNITUDE:
+                raise DomainError(
+                    f"{name} must be at most {MAX_MAGNITUDE:g} in magnitude, got {value}"
+                )
         if not self.stop > self.start:
             raise DomainError(f"stop ({self.stop}) must exceed start ({self.start})")
 
@@ -325,7 +330,10 @@ def classify_regime(
     if min(positive_lobe, negative_lobe) > thresholds.fano_lobe_ratio * contrast:
         return RegimeLabel.FANO
     if positive_lobe >= negative_lobe:
-        half_span = max(thresholds.baseline_span_factor * params.kappa_c, grid.stop, -grid.start)
+        half_span = min(
+            max(thresholds.baseline_span_factor * params.kappa_c, grid.stop, -grid.start),
+            MAX_MAGNITUDE,
+        )
         wide = DetuningGrid(-half_span, half_span, DEFAULT_GRID_COUNT)
         baseline = baseline_level(trace(params, drive, wide))
         peak = float(np.max(measured.magnitude[inside]))

@@ -11,7 +11,8 @@ import pytest
 import magpol
 from magpol.cli import dispatch
 from magpol.io import TraceFormat, read_trace, write_trace
-from magpol.model import DriveField, SystemParams
+from magpol import oracle
+from magpol.model import MAX_MAGNITUDE, DriveField, SystemParams
 from magpol.spectra import DetuningGrid, trace
 
 TRUTH = SystemParams(
@@ -84,6 +85,26 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "ratio_delta must be finite" in captured.err
+
+    @pytest.mark.parametrize(
+        "command,option,value",
+        [
+            ("oracle-check", "--tol", "nan"),
+            ("oracle-check", "--tol", "inf"),
+            ("oracle-check", "--tol", "0"),
+            ("oracle-check", "--tol", "-1e-8"),
+            ("zero", "--max-ratio", "nan"),
+            ("zero", "--max-ratio", "inf"),
+        ],
+    )
+    def test_bound_options_must_be_finite(self, config_path, capsys, command, option, value):
+        argv = [command, "--config", config_path, f"{option}={value}"]
+        if command == "zero":
+            argv.append("--phase-eff=0.4pi")
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert option in captured.err
 
     def test_python_dash_m_entry_point(self):
         src = os.path.dirname(os.path.dirname(magpol.__file__))
@@ -382,6 +403,17 @@ class TestOracleCheck:
         assert values["backend"] == "python"
         assert float(values["max_rel_error"]) < 1e-8
 
+    def test_non_finite_error_fails(self, config_path, capsys, monkeypatch):
+        # max() would drop the NaN; the check must count it as a failure
+        monkeypatch.setattr(
+            oracle, "oracle_transmission", lambda *args, **kwargs: complex("nan")
+        )
+        code = dispatch(["oracle-check", "--config", config_path, "--count", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert _parse_keyed_lines(captured.out)["max_rel_error"] == "nan"
+        assert "exceeds tol" in captured.err
+
     def test_rejects_nonpositive_count(self, config_path, capsys):
         code = dispatch(
             ["oracle-check", "--config", config_path, "--count", "0"]
@@ -410,6 +442,19 @@ class TestErrorPaths:
         assert captured.err.startswith("error:")
         assert f"key '{key}'" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["zero", "classify"])
+    def test_overflowing_config_value(self, tmp_path, capsys, command):
+        # finite, but large enough to overflow the response without the cap
+        config = _write_config(
+            tmp_path / "huge.toml", kappa_c=2.0 * MAX_MAGNITUDE
+        )
+        argv = [command, "--config", config] + (["--phase-eff=0.4pi"] if command == "zero" else [])
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: kappa_c must be at most")
+        assert "key 'kappa_c', line 3" in captured.err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = dispatch(["spectrum", "--config", str(tmp_path / "absent.toml")])

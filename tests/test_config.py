@@ -6,6 +6,7 @@ import pytest
 
 from magpol.config import load_config, parse_config, parse_phase
 from magpol.errors import ConfigError
+from magpol.model import MAX_MAGNITUDE
 from magpol.spectra import MAX_GRID_COUNT
 
 FULL_DOCUMENT = """\
@@ -200,6 +201,8 @@ class TestConfigErrors:
             ({}, "[grid]\nstop = nan\n", "stop", 8),
             ({}, f"[grid]\ncount = {MAX_GRID_COUNT + 1}\n", "count", 8),
             ({}, "[grid]\ncount = 1\n", "count", 8),
+            ({"kappa_c": 2.0 * MAX_MAGNITUDE}, "", "kappa_c", 3),
+            ({}, f"[grid]\nstop = {2.0 * MAX_MAGNITUDE}\n", "stop", 8),
         ],
     )
     def test_domain_errors_name_key_and_line(self, overrides, extra, key, line):

@@ -5,14 +5,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import valid_params
 from magpol.errors import DomainError
 from magpol.fit import (
     DEFAULT_FREE,
+    FREE_PARAMETER_NAMES,
     BackgroundModel,
     FitObservation,
     FitProblem,
     NoiseModel,
+    _objective,
+    _objective_jacobian,
     _residual_vector,
     fit_parameters,
     synthesize_trace,
@@ -155,6 +161,26 @@ class TestFitRecovery:
         assert result.values["kappa_m1"] == params.kappa_m1  # untouched
         assert result.values["kappa_c"] == pytest.approx(113.9, rel=0.01)
 
+    def test_both_mode_frequencies_free_get_infinite_stderr(self, params):
+        # only magnon_freq - cavity_freq enters the response, so the two
+        # Jacobian columns are exact negatives and their sum is unconstrained
+        truth = replace(params, magnon_freq=2.0)
+        observations = tuple(
+            synthesize_trace(truth, d, GRID, noise=NoiseModel(40.0), rng=20 + i)
+            for i, d in enumerate(_drives())
+        )
+        problem = FitProblem(
+            observations=observations, free=DEFAULT_FREE + ("cavity_freq", "magnon_freq")
+        )
+        result = fit_parameters(problem, replace(_perturbed(truth), magnon_freq=1.5))
+        assert result.stderr["cavity_freq"] == math.inf
+        assert result.stderr["magnon_freq"] == math.inf
+        for name in DEFAULT_FREE:
+            assert 0.0 < result.stderr[name] < math.inf
+        offset = result.values["magnon_freq"] - result.values["cavity_freq"]
+        assert offset == pytest.approx(2.0, abs=0.05)
+        assert result.values["coupling_g"] == pytest.approx(7.6, rel=0.02)
+
     def test_background_parameters_recovered(self, params):
         background = BackgroundModel(amplitude_scale=0.93, phase_slope=0.0015)
         observations = tuple(
@@ -245,3 +271,107 @@ class TestResidualExactness:
         assert not np.array_equal(trace(params, drive, twin).t, trace(params, drive, grid).t)
         self._check(params, [grid, twin, grid])
         self._check(params, [twin, grid, twin])
+
+
+def _point(problem, params, background, offset):
+    """The parameter vector x of problem at this model point."""
+    values = {
+        "phase_offset": offset,
+        "amplitude_scale": background.amplitude_scale,
+        "phase_slope": background.phase_slope,
+    }
+    return np.array(
+        [values[n] if n in values else getattr(params, n) for n in problem.free]
+    )
+
+
+def _central_differences(problem, initial, x):
+    columns = []
+    for k in range(x.size):
+        step = np.zeros_like(x)
+        step[k] = 1e-6 * max(1.0, abs(x[k]))
+        upper = _objective(x + step, problem, initial)
+        lower = _objective(x - step, problem, initial)
+        columns.append((upper - lower) / (2.0 * step[k]))
+    return np.stack(columns, axis=1)
+
+
+def _assert_matches_central_differences(problem, params, x):
+    """Each column within 1e-6 of its largest entry, plus 1e-8 for the
+    rounding of the differences (about 1e-16 / step for residuals of order 1)."""
+    jac = _objective_jacobian(x, problem, params)
+    reference = _central_differences(problem, params, x)
+    assert jac.shape == reference.shape
+    for k, name in enumerate(problem.free):
+        scale = np.max(np.abs(jac[:, k]))
+        assert scale > 0.0, name
+        assert np.max(np.abs(jac[:, k] - reference[:, k])) <= 1e-6 * scale + 1e-8, name
+
+
+def _jacobian_problem(params, has_phase):
+    """Observations on two distinct grids, all parameters free; the last
+    observation is magnitude-only unless every one must carry phase."""
+    wide = DetuningGrid(-60.0, 60.0, 241)
+    narrow = DetuningGrid(-25.0, 35.0, 151)
+    drives = (
+        DriveField(ratio_delta=0.0),
+        DriveField(ratio_delta=1.5, phase_phi=0.35 * math.pi),
+        DriveField(ratio_delta=0.8, phase_phi=1.2),
+    )
+    observations = [
+        synthesize_trace(params, drive, grid)
+        for drive, grid in zip(drives, (wide, narrow, wide))
+    ]
+    if not has_phase:
+        last = observations[-1]
+        observations[-1] = FitObservation(
+            grid=last.grid, values=np.abs(last.values), drive=last.drive, has_phase=False
+        )
+    return FitProblem(observations=tuple(observations), free=FREE_PARAMETER_NAMES)
+
+
+class TestJacobian:
+    """The closed-form Jacobian against central differences of the residual."""
+
+    BACKGROUND = BackgroundModel(amplitude_scale=0.95, phase_slope=0.003)
+
+    @pytest.mark.parametrize("has_phase", [True, False])
+    def test_matches_central_differences(self, params, has_phase):
+        device = replace(params, cavity_freq=1.5, magnon_freq=-2.0)
+        problem = _jacobian_problem(device, has_phase)
+        x = _point(problem, replace(device, coupling_g=8.1), self.BACKGROUND, 2.9)
+        _assert_matches_central_differences(problem, device, x)
+
+    @given(valid_params(), st.floats(-4.0, 4.0))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_central_differences_on_any_device(self, device, offset):
+        # kept clear of the validity boundary by more than the difference
+        # step; complex data only, since |model| has a kink where it vanishes
+        device = replace(
+            device,
+            coupling_g=max(device.coupling_g, 1e-3),
+            kappa_c1=min(device.kappa_c1, 0.999 * device.kappa_c),
+            kappa_m1=min(device.kappa_m1, 0.999 * device.kappa_m),
+        )
+        problem = _jacobian_problem(device, has_phase=True)
+        x = _point(problem, device, self.BACKGROUND, offset)
+        _assert_matches_central_differences(problem, device, x)
+
+    def test_zero_at_a_penalized_candidate(self, params):
+        problem = _jacobian_problem(params, has_phase=False)
+        x = _point(problem, params, self.BACKGROUND, 0.0)
+        x[problem.free.index("kappa_c1")] = 2.0 * params.kappa_c  # kappa_c1 > kappa_c
+        assert np.all(_objective(x, problem, params) == 1e6)
+        jac = _objective_jacobian(x, problem, params)
+        m = sum(obs.residual_size for obs in problem.observations)
+        assert jac.shape == (m, len(FREE_PARAMETER_NAMES))
+        assert not np.any(jac)
+
+    def test_magnitude_rows_are_finite_where_the_model_vanishes(self, params):
+        problem = _jacobian_problem(params, has_phase=False)
+        # a zero amplitude scale makes the model exactly 0 on every sample
+        vanishing = BackgroundModel(amplitude_scale=0.0, phase_slope=0.003)
+        jac = _objective_jacobian(_point(problem, params, vanishing, 0.0), problem, params)
+        assert np.all(np.isfinite(jac))
+        rows = problem.observations[-1].residual_size
+        assert not np.any(jac[-rows:])

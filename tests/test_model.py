@@ -6,7 +6,7 @@ published rates (written out inline), not read back from the implementation.
 
 import cmath
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import REFERENCE
 from magpol.errors import DomainError, SingularityError
 from magpol.model import (
+    MAX_MAGNITUDE,
     CouplingRegime,
     DriveField,
     SystemParams,
@@ -91,6 +92,11 @@ class TestSystemParams:
     def test_non_finite_fields_rejected(self, params, field, value):
         with pytest.raises(DomainError, match=f"{field} must be finite"):
             replace(params, **{field: value})
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(SystemParams)])
+    def test_magnitudes_are_capped(self, params, field):
+        with pytest.raises(DomainError, match=f"{field} must be at most"):
+            replace(params, **{field: 2.0 * MAX_MAGNITUDE})
 
     def test_external_rate_cannot_exceed_total(self, params):
         with pytest.raises(DomainError, match="kappa_c1"):

@@ -107,6 +107,13 @@ def test_config_validation(kwargs):
         IntegratorConfig(**kwargs)
 
 
+@pytest.mark.parametrize("settle_tol", [1.0, 1e200])
+def test_settle_tol_must_be_below_one(settle_tol):
+    # a larger tolerance would make the automatic max_time negative
+    with pytest.raises(DomainError, match="settle_tol must be below 1"):
+        IntegratorConfig(settle_tol=settle_tol)
+
+
 def test_zero_probe_transmission_rejected(params):
     with pytest.raises(DomainError, match="probe_amp"):
         oracle_transmission(params, DriveField(ratio_delta=1.0, probe_amp=0.0), 0.0)

@@ -13,7 +13,13 @@ from hypothesis import given, settings
 
 from conftest import valid_drives, valid_params
 from magpol.errors import DomainError
-from magpol.model import DriveField, transmission, transmission_parts
+from magpol.model import (
+    MAX_MAGNITUDE,
+    DriveField,
+    SystemParams,
+    transmission,
+    transmission_parts,
+)
 from magpol.spectra import (
     MAX_GRID_COUNT,
     DetuningGrid,
@@ -60,6 +66,14 @@ class TestDetuningGrid:
     )
     def test_rejects_non_finite_bounds(self, start, stop, name):
         with pytest.raises(DomainError, match=f"{name} must be finite"):
+            DetuningGrid(start, stop, 5)
+
+    @pytest.mark.parametrize(
+        "start,stop,name",
+        [(-2.0 * MAX_MAGNITUDE, 1.0, "start"), (-1.0, 2.0 * MAX_MAGNITUDE, "stop")],
+    )
+    def test_bounds_are_capped(self, start, stop, name):
+        with pytest.raises(DomainError, match=f"{name} must be at most"):
             DetuningGrid(start, stop, 5)
 
     def test_count_is_capped_before_allocation(self):
@@ -233,6 +247,12 @@ class TestBaselineAndExtremum:
 
 
 class TestClassifyRegime:
+    def test_baseline_grid_stays_within_the_magnitude_cap(self):
+        # kappa_c at the cap: the wide baseline grid (10 kappa_c) is clipped
+        # to the cap instead of failing its own bound check
+        device = SystemParams(0.0, 0.0, 1e25, MAX_MAGNITUDE, 1.0, 0.2 * MAX_MAGNITUDE, 0.5)
+        assert classify_regime(device, DriveField(ratio_delta=0.0)) is RegimeLabel.MIT
+
     @pytest.mark.parametrize(
         "ratio,expected",
         [
