@@ -23,11 +23,8 @@ from . import oracle as oracle_mod
 from . import spectra
 from .config import RunConfig, load_config, parse_phase
 from .errors import MagpolError
+from .io import _format_number as _fmt
 from .model import DriveField, SystemParams, transmission
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
 
 
 def _phase_arg(text: str) -> float:
@@ -44,6 +41,16 @@ def _finite_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _seed_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
     return value
 
 
@@ -137,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="compare analytic and integrated responses")
     _add_config_option(p)
     p.add_argument("--count", type=int, default=20, help="number of random draws")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument(
         "--tol", type=_positive_arg, default=1e-8, help="relative error bound"
     )
@@ -198,15 +205,10 @@ def _cmd_map(config: RunConfig, args: argparse.Namespace) -> int:
     sweep = spectra.sweep(config.system, drive, axis, values, config.grid)
     lines = [f"{args.axis},detuning_mhz,re,im,magnitude,db"]
     for value, trace in zip(sweep.axis_values, sweep.traces):
-        db = trace.db
-        for i, detuning in enumerate(trace.grid.values):
-            t = trace.t[i]
-            lines.append(
-                ",".join(
-                    _fmt(x)
-                    for x in (value, detuning, t.real, t.imag, trace.magnitude[i], db[i])
-                )
-            )
+        t = trace.t
+        lines += io_mod._rows(
+            [np.full(t.size, value), trace.grid.values, t.real, t.imag, trace.magnitude, trace.db]
+        )
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -216,11 +218,7 @@ def _cmd_delay(config: RunConfig, args: argparse.Namespace) -> int:
     method = "analytic" if args.method == "analytic" else "finite-difference"
     trace = delay_mod.group_delay(config.system, drive, config.grid, method=method)
     lines = ["detuning_mhz,delay_us,magnitude"]
-    magnitude = np.abs(trace.t)
-    for i, detuning in enumerate(trace.grid.values):
-        lines.append(
-            ",".join(_fmt(x) for x in (detuning, trace.delay[i], magnitude[i]))
-        )
+    lines += io_mod._rows([trace.grid.values, trace.delay, np.abs(trace.t)])
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

@@ -17,6 +17,9 @@ N = c - 2*kappa_c1*zm, so every parameter derivative is
 dt/dp = (dN/dp - (t - 1)*dden/dp) / den.  Candidates that are not a valid
 model get a flat penalty residual and a zero Jacobian, which is what finite
 differences give inside the flat region.
+
+scipy.optimize is imported inside fit_parameters, not with this module: it
+takes most of a cold start, and no other magpol command needs it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DomainError
 from .model import DriveField, SystemParams, _pump_coefficient
@@ -377,6 +379,8 @@ def fit_parameters(
     background prefactor) once per distinct detuning grid and shares them
     across the observations taken on it.
     """
+    from scipy.optimize import least_squares
+
     free = list(problem.free)
     if "phase_slope" in free and not any(o.has_phase for o in problem.observations):
         warnings.warn(

@@ -46,8 +46,19 @@ class TraceFile:
     metadata: dict[str, str] = field(default_factory=dict)
 
 
+# 17 significant digits reproduce every double bitwise when parsed back.
+# "%.17g" % x is format(x, ".17g"), including for signed zeros, nan and inf.
+_NUMBER = "%.17g"
+
+
 def _format_number(value: float) -> str:
-    return format(value, ".17g")
+    return _NUMBER % value
+
+
+def _rows(columns, sep: str = ",") -> list[str]:
+    """One line per row of equal-length float columns, numbers as _format_number."""
+    row = sep.join([_NUMBER] * len(columns))
+    return [row % tuple(values) for values in np.column_stack(columns).tolist()]
 
 
 def _parse_option_line(line: str, lineno: int) -> tuple[str, str, float]:
@@ -217,23 +228,9 @@ def read_trace(path, cavity_freq: float = 0.0) -> tuple[TraceFile, SpectrumTrace
 
 def render_csv(trace: SpectrumTrace) -> str:
     """CSV text for a trace, ending with a newline."""
-    lines = [_CSV_HEADER]
-    db = trace.db
-    for i, detuning in enumerate(trace.grid.values):
-        value = trace.t[i]
-        lines.append(
-            ",".join(
-                _format_number(x)
-                for x in (
-                    detuning,
-                    value.real,
-                    value.imag,
-                    trace.magnitude[i],
-                    db[i],
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    t = trace.t
+    rows = _rows([trace.grid.values, t.real, t.imag, trace.magnitude, trace.db])
+    return "\n".join([_CSV_HEADER] + rows) + "\n"
 
 
 def render_touchstone(
@@ -249,12 +246,9 @@ def render_touchstone(
     """
     lines = [f"! {key} = {value}" for key, value in (metadata or {}).items()]
     lines.append("# HZ S RI R " + _format_number(z0))
-    for i in range(trace.grid.count - 1, -1, -1):
-        freq_hz = (cavity_freq - trace.grid.values[i]) * 1e6
-        value = trace.t[i]
-        lines.append(
-            " ".join(_format_number(x) for x in (freq_hz, value.real, value.imag))
-        )
+    t = trace.t[::-1]
+    freq_hz = (cavity_freq - trace.grid.values[::-1]) * 1e6
+    lines += _rows([freq_hz, t.real, t.imag], sep=" ")
     return "\n".join(lines) + "\n"
 
 

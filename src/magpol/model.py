@@ -134,7 +134,9 @@ class DriveField:
     calibration offset, both in radians.  Phases are stored as given;
     effective_phase reduces their sum to (-pi, pi] for evaluation.
     probe_amp >= 0; zero is allowed only for the degenerate no-drive case.
-    All four must be finite.
+    All four must be finite, and ratio_delta at most MAX_MAGNITUDE, which
+    keeps the pump coefficient 2*g*sqrt(kappa_c1*kappa_m1)*ratio_delta below
+    about 2e150.
     """
 
     ratio_delta: float
@@ -147,6 +149,11 @@ class DriveField:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
+        if self.ratio_delta > MAX_MAGNITUDE:
+            raise DomainError(
+                f"ratio_delta must be at most {MAX_MAGNITUDE:g} in magnitude, "
+                f"got {self.ratio_delta}"
+            )
         if self.ratio_delta < 0.0:
             raise DomainError(f"ratio_delta must be >= 0, got {self.ratio_delta}")
         if self.probe_amp < 0.0:

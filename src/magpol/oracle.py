@@ -74,8 +74,12 @@ class IntegratorConfig:
 
 def _resolved(
     config: IntegratorConfig, params: SystemParams, delta_c: float, delta_m: float
-) -> tuple[float, float, int]:
-    """(step, max_time, n_window) for this system, filling in auto values."""
+) -> tuple[float, float, int, int]:
+    """(step, max_time, n_window, max_steps) for this system, filling in auto values.
+
+    Raises DomainError when the rates span so many orders of magnitude that a
+    step count is not a finite double.
+    """
     f_max = max(
         params.kappa_c, params.kappa_m, params.coupling_g, abs(delta_c), abs(delta_m)
     )
@@ -86,8 +90,13 @@ def _resolved(
     else:
         max_time = 3.0 * (math.log(1.0 / config.settle_tol) + 5.0) / (_TWO_PI * kappa_min)
     decay_time = 1.0 / (_TWO_PI * kappa_min)
-    n_window = max(1, int(decay_time / step))
-    return step, max_time, n_window
+    window_steps, total_steps = decay_time / step, max_time / step
+    if not math.isfinite(max(window_steps, total_steps)):
+        raise DomainError(
+            f"rates from {kappa_min:g} to {f_max:g} MHz are too far apart to "
+            f"integrate: step {step:g} us, max_time {max_time:g} us"
+        )
+    return step, max_time, max(1, int(window_steps)), int(total_steps) + 1
 
 
 def _run_windows(za, zm, ig, fa, fm, h, n_window, settle_tol, max_steps):
@@ -132,14 +141,14 @@ def integrate_to_steady(
 
     Returns amplitudes in the linear-rate normalization of
     model.steady_state.  Raises IntegrationTimeout if the windowed settle
-    criterion is not met within max_time.
+    criterion is not met within max_time, and DomainError if the step count
+    would not be a finite double.
     """
     if config is None:
         config = IntegratorConfig()
     delta_c = params.cavity_freq - probe_freq
     delta_m = params.magnon_freq - probe_freq
-    step, max_time, n_window = _resolved(config, params, delta_c, delta_m)
-    max_steps = int(max_time / step) + 1
+    step, max_time, n_window, max_steps = _resolved(config, params, delta_c, delta_m)
 
     za = -(1j * delta_c + params.kappa_c) * _TWO_PI
     zm = -(1j * delta_m + params.kappa_m) * _TWO_PI

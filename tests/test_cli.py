@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -106,18 +107,78 @@ class TestUsageErrors:
         assert captured.out == ""
         assert option in captured.err
 
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_seed_must_be_a_non_negative_integer(self, config_path, capsys, seed):
+        argv = ["oracle-check", "--config", config_path, "--count", "1", "--seed", seed]
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed" in captured.err
+
     def test_python_dash_m_entry_point(self):
-        src = os.path.dirname(os.path.dirname(magpol.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "magpol", "--help"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=120,
-        )
+        result = _run_fresh_python(["-m", "magpol", "--help"])
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("usage: magpol")
+
+
+def _run_fresh_python(args):
+    """A new interpreter that imports magpol from the same tree as this one."""
+    src = os.path.dirname(os.path.dirname(magpol.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
+class TestColdImport:
+    def test_only_fit_imports_scipy_optimize(self, tmp_path):
+        # scipy.optimize is most of a cold start and only fit_parameters needs it
+        config = _write_config(tmp_path / "device.toml", grid_count=101)
+        script = textwrap.dedent(
+            f"""
+            import contextlib, io, sys
+            import magpol
+            import magpol.cli
+            from magpol.fit import FitObservation, FitProblem, fit_parameters
+            from magpol.model import DriveField, SystemParams
+            from magpol.spectra import DetuningGrid, trace
+
+            magpol.cli.build_parser()
+            runs = [
+                ["spectrum"],
+                ["delay"],
+                ["classify"],
+                ["zero", "--phase-eff", "0.4pi"],
+                ["map", "--axis", "ratio", "--values", "0,1.5"],
+            ]
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [
+                    magpol.cli.dispatch([argv[0], "--config", {config!r}, *argv[1:]])
+                    for argv in runs
+                ]
+            assert codes == [0] * len(runs), codes
+            assert "scipy.optimize" not in sys.modules
+
+            truth = SystemParams(0.0, 0.0, 7.6, 113.9, 1.2, 21.8, 0.6)
+            grid = DetuningGrid(-60.0, 60.0, 241)
+            drive = DriveField(ratio_delta=0.0)
+            observation = FitObservation(
+                grid=grid, values=trace(truth, drive, grid).t, drive=drive
+            )
+            problem = FitProblem(observations=(observation,), free=("coupling_g",))
+            start = SystemParams(0.0, 0.0, 7.0, 113.9, 1.2, 21.8, 0.6)
+            result = fit_parameters(problem, start)
+            assert result.converged, result.message
+            assert abs(result.values["coupling_g"] - 7.6) < 1e-9, result.values
+            assert "scipy.optimize" in sys.modules
+            """
+        )
+        result = _run_fresh_python(["-c", script])
+        assert result.returncode == 0, result.stderr
 
 
 class TestSpectrum:
@@ -414,6 +475,18 @@ class TestOracleCheck:
         assert _parse_keyed_lines(captured.out)["max_rel_error"] == "nan"
         assert "exceeds tol" in captured.err
 
+    def test_unresolvable_rate_span_is_a_domain_error(self, tmp_path, capsys):
+        # about 1e312 integrator steps per decay time: not a finite double
+        config = _write_config(
+            tmp_path / "span.toml", g=1e10, kappa_m=1e-300, kappa_m1=1e-302
+        )
+        code = dispatch(["oracle-check", "--config", config, "--count", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: rates from")
+        assert "too far apart to integrate" in captured.err
+
     def test_rejects_nonpositive_count(self, config_path, capsys):
         code = dispatch(
             ["oracle-check", "--config", config_path, "--count", "0"]
@@ -455,6 +528,21 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("error: kappa_c must be at most")
         assert "key 'kappa_c', line 3" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--delta", "1e308"],
+            ["classify", "--delta", "1e308"],
+            ["map", "--axis", "ratio", "--values", "1e308"],
+        ],
+    )
+    def test_overflowing_ratio_is_a_domain_error(self, config_path, capsys, argv):
+        # finite, but the pump coefficient would overflow to inf and print nan
+        assert dispatch([argv[0], "--config", config_path, *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ratio_delta must be at most")
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = dispatch(["spectrum", "--config", str(tmp_path / "absent.toml")])

@@ -1,13 +1,18 @@
 """Trace file round trips: CSV and Touchstone v1, plus parse failures."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magpol.errors import TraceParseError
 from magpol.io import (
     TraceFormat,
+    _format_number,
+    _rows,
     read_trace,
     render_csv,
     render_touchstone,
@@ -15,6 +20,40 @@ from magpol.io import (
 )
 from magpol.model import DriveField
 from magpol.spectra import DetuningGrid, SpectrumTrace, trace
+
+
+# Values where a formatter is most likely to differ from format(x, ".17g").
+SPECIAL_VALUES = [
+    0.0,
+    -0.0,
+    math.nan,
+    math.inf,
+    -math.inf,  # also the dB sentinel of a zero magnitude
+    5e-324,
+    -5e-324,
+    sys.float_info.min / 3.0,
+    sys.float_info.min,
+    sys.float_info.max,
+    -sys.float_info.max,
+    0.1,
+    1e16,
+    123456789012345678.0,
+]
+
+
+def _reference_rows(columns, sep=","):
+    """The per-element loop every table was once written with."""
+    return [sep.join(format(x, ".17g") for x in row) for row in zip(*columns)]
+
+
+def _reference_touchstone(trace, cavity_freq, z0, metadata):
+    lines = [f"! {key} = {value}" for key, value in metadata.items()]
+    lines.append("# HZ S RI R " + format(z0, ".17g"))
+    for i in range(trace.grid.count - 1, -1, -1):
+        freq_hz = (cavity_freq - trace.grid.values[i]) * 1e6
+        value = trace.t[i]
+        lines.append(" ".join(format(x, ".17g") for x in (freq_hz, value.real, value.imag)))
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture
@@ -89,6 +128,62 @@ class TestCsv:
         path.write_text("detuning_mhz,re,im,magnitude,db\n")
         with pytest.raises(TraceParseError, match="no data rows"):
             read_trace(path)
+
+
+class TestRowRenderer:
+    @given(
+        st.integers(1, 6),
+        st.lists(st.floats() | st.sampled_from(SPECIAL_VALUES), max_size=48),
+        st.sampled_from([",", " "]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_per_element_format(self, width, values, sep):
+        count = len(values) // width
+        columns = list(np.array(values[: width * count], dtype=float).reshape(width, count))
+        assert _rows(columns, sep) == _reference_rows(columns, sep)
+
+    def test_special_values_match_per_element_format(self):
+        column = np.array(SPECIAL_VALUES)
+        columns = [column, column[::-1], -column]
+        assert _rows(columns) == _reference_rows(columns)
+        assert [_format_number(x) for x in SPECIAL_VALUES] == [
+            format(x, ".17g") for x in SPECIAL_VALUES
+        ]
+
+    def test_zero_magnitude_prints_the_db_sentinel(self):
+        grid = DetuningGrid.from_values(np.array([-1.0, 1.0]))
+        sample = SpectrumTrace(grid=grid, t=np.array([0.0j, 1.0 + 0.0j]))
+        assert render_csv(sample).splitlines()[1] == "-1,0,0,0,-inf"
+
+    def test_csv_matches_per_element_format(self, reference_trace):
+        t = reference_trace.t
+        columns = [
+            reference_trace.grid.values,
+            t.real,
+            t.imag,
+            reference_trace.magnitude,
+            reference_trace.db,
+        ]
+        expected = ["detuning_mhz,re,im,magnitude,db"] + _reference_rows(columns)
+        assert render_csv(reference_trace) == "\n".join(expected) + "\n"
+
+    def test_touchstone_matches_per_element_format(self, reference_trace):
+        metadata = {"delta": "1.2", "phi": "1.0995574287564276", "note": "run 4"}
+        text = render_touchstone(
+            reference_trace, cavity_freq=10245.3, z0=75.0, metadata=metadata
+        )
+        assert text == _reference_touchstone(reference_trace, 10245.3, 75.0, metadata)
+        lines = text.splitlines()
+        assert lines[:4] == [
+            "! delta = 1.2",
+            "! phi = 1.0995574287564276",
+            "! note = run 4",
+            "# HZ S RI R 75",
+        ]
+        # ascending frequency rows are descending detuning rows
+        detunings = [10245.3 - float(line.split()[0]) / 1e6 for line in lines[4:]]
+        assert len(detunings) == reference_trace.grid.count
+        assert all(a > b for a, b in zip(detunings, detunings[1:]))
 
 
 class TestTouchstone:

@@ -126,6 +126,12 @@ class TestDriveField:
         with pytest.raises(DomainError, match=f"{field} must be finite"):
             replace(DriveField(ratio_delta=1.0), **{field: value})
 
+    def test_ratio_magnitude_is_capped(self):
+        # keeps the pump coefficient 2*g*sqrt(kappa_c1*kappa_m1)*delta finite
+        DriveField(ratio_delta=MAX_MAGNITUDE)
+        with pytest.raises(DomainError, match="ratio_delta must be at most"):
+            DriveField(ratio_delta=2.0 * MAX_MAGNITUDE)
+
     def test_effective_phase_reduces_to_principal_range(self):
         drive = DriveField(ratio_delta=1.0, phase_phi=0.3)
         assert drive.effective_phase == math.remainder(0.3 + math.pi, math.tau)

@@ -6,6 +6,7 @@ to a plain stepwise RK4 loop on short horizons.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,6 +113,21 @@ def test_settle_tol_must_be_below_one(settle_tol):
     # a larger tolerance would make the automatic max_time negative
     with pytest.raises(DomainError, match="settle_tol must be below 1"):
         IntegratorConfig(settle_tol=settle_tol)
+
+
+@pytest.mark.parametrize(
+    "overrides,config",
+    [
+        # auto step and window: the rate span alone overflows the step count
+        ({"coupling_g": 1e10, "kappa_m": 1e-300, "kappa_m1": 1e-302}, None),
+        # a finite window but a max_time of ~1e308 steps
+        ({}, IntegratorConfig(step=1e-300, max_time=1e10)),
+    ],
+)
+def test_unrepresentable_step_count_is_a_domain_error(params, overrides, config):
+    system = replace(params, **overrides)
+    with pytest.raises(DomainError, match="too far apart to integrate"):
+        integrate_to_steady(system, DriveField(ratio_delta=1.0), 0.0, config)
 
 
 def test_zero_probe_transmission_rejected(params):
