@@ -9,24 +9,32 @@ The instrument background is modelled as a complex prefactor
 amplitude_scale * exp(i * phase_slope * detuning) applied to the ideal
 response, which absorbs insertion loss and uncompensated electrical length.
 
-The fit is scipy's trust-region reflective least squares (Branch, Coleman &
-Li, SIAM J. Sci. Comput. 21, 1999) with the Jacobian in closed form.  The
-response is rational: with zc = i*Delta + kappa_c, zm = i*Delta_m + kappa_m,
-den = zc*zm + g**2 and the pump coefficient c, t = 1 + N/den with
-N = c - 2*kappa_c1*zm, so every parameter derivative is
-dt/dp = (dN/dp - (t - 1)*dden/dp) / den.  Candidates that are not a valid
-model get a flat penalty residual and a zero Jacobian, which is what finite
-differences give inside the flat region.
+The response is rational: with zc = i*Delta + kappa_c,
+zm = i*Delta_m + kappa_m, den = zc*zm + g**2 and the pump coefficient c,
+t = 1 + N/den with N = c - 2*kappa_c1*zm, so every parameter derivative is
+dt/dp = (dN/dp - (t - 1)*dden/dp) / den, and the Jacobian is exact.
 
-scipy.optimize is imported inside fit_parameters, not with this module: it
-takes most of a cold start, and no other magpol command needs it.
+The fit is Levenberg-Marquardt (More, "The Levenberg-Marquardt algorithm:
+implementation and theory", Lecture Notes in Mathematics 630, 1978) on that
+Jacobian J and the residual r.  Each step solves the damped normal equations
+(J^T J + lambda*diag(D**2)) * step = -J^T r, n by n for n free parameters,
+where D is the running maximum of J's column norms (1 for a column that has
+been zero throughout, so a parameter the data never touches stays exactly
+where it started).  The damping lambda follows Nielsen's gain-ratio update
+("Damping parameter in Marquardt's method", IMM-REP-1999-05).  A trial step
+that does not lower the cost is rejected, and so is one that leaves the box
+(coupling_g >= 0; rates and amplitude_scale >= 1e-9) or is not a valid model,
+such as kappa_c1 > kappa_c: infeasible steps are rejected, not penalized, so
+every iterate is a valid model.  The fit stops when the gradient, the
+relative cost change or the relative step falls below 1e-14 (the tests of
+scipy's least_squares), or after 100 evaluations per free parameter.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,23 +56,23 @@ _BACKGROUND_FIELDS = ("amplitude_scale", "phase_slope")
 FREE_PARAMETER_NAMES = _SYSTEM_FIELDS + ("phase_offset",) + _BACKGROUND_FIELDS
 DEFAULT_FREE = ("coupling_g", "kappa_c", "kappa_m", "kappa_c1")
 
-_DEFAULT_BOUNDS = {
-    "coupling_g": (0.0, np.inf),
-    "kappa_c": (1e-9, np.inf),
-    "kappa_m": (1e-9, np.inf),
-    "kappa_c1": (1e-9, np.inf),
-    "kappa_m1": (1e-9, np.inf),
-    "cavity_freq": (-np.inf, np.inf),
-    "magnon_freq": (-np.inf, np.inf),
-    "phase_offset": (-np.inf, np.inf),
-    "amplitude_scale": (1e-9, np.inf),
-    "phase_slope": (-np.inf, np.inf),
+# The fit's box: these floors, and no bound on the other parameters.
+_LOWER_BOUNDS = {
+    "coupling_g": 0.0,
+    "kappa_c": 1e-9,
+    "kappa_m": 1e-9,
+    "kappa_c1": 1e-9,
+    "kappa_m1": 1e-9,
+    "amplitude_scale": 1e-9,
 }
 
+_TOLERANCE = 1e-14
+_EVALUATIONS_PER_PARAMETER = 100
+# Nielsen's tau times max(diag(J^T J) / D**2), which is 1 at the start
+_INITIAL_DAMPING = 1e-3
 _GRADIENT_RTOL = 1e-8
 _NULL_SPACE_RTOL = 1e-10
 _NULL_COMPONENT_TOL = 1e-6
-_PENALTY = 1e6
 
 
 @dataclass(frozen=True)
@@ -116,7 +124,6 @@ class FitProblem:
 
     observations: tuple[FitObservation, ...]
     free: tuple[str, ...] = DEFAULT_FREE
-    bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "observations", tuple(self.observations))
@@ -132,9 +139,6 @@ class FitProblem:
             seen.add(name)
         if not self.free:
             raise DomainError("fit problem needs at least one free parameter")
-        for name in self.bounds:
-            if name not in FREE_PARAMETER_NAMES:
-                raise DomainError(f"bounds given for unknown parameter {name!r}")
 
 
 @dataclass(frozen=True)
@@ -146,8 +150,14 @@ class FitResult:
     1e-6 in its numerical null space (singular values at or below 1e-10 of
     the largest) is not identified by the data and gets inf: one with a
     zero column, or cavity_freq and magnon_freq when both are free, since
-    only their difference enters the response.  converged requires the
-    gradient J^T r to be small relative to the residual norm.
+    only their difference enters the response.
+
+    converged requires that the fit stopped on a tolerance test, not the
+    evaluation cap, and that the column-scaled gradient is small:
+    max_i |(J^T r)_i| / |J_i| <= 1e-8 * max(1, |r|), the scale-invariant test
+    of Dennis & Schnabel, Numerical Methods for Unconstrained Optimization,
+    1983, section 7.2.  n_evaluations counts the starting point and every
+    trial step, rejected ones included; message says why the fit stopped.
     """
 
     params: SystemParams
@@ -345,23 +355,73 @@ def _jacobian(
     return np.concatenate(blocks)
 
 
-def _objective(x: np.ndarray, problem: FitProblem, initial: SystemParams) -> np.ndarray:
-    """The residual at x, or a flat penalty where x is not a valid model."""
+def _trial_residual(problem, initial, x, lower):
+    """(model point, residual) at x, or None where x leaves the box or is
+    not a valid model."""
+    if not np.all(x >= lower):
+        return None
     try:
-        return _residual_vector(problem, *_candidate(problem, initial, x))
+        point = _candidate(problem, initial, x)
     except DomainError:
-        return np.full(sum(o.residual_size for o in problem.observations), _PENALTY)
+        return None
+    return point, _residual_vector(problem, *point)
 
 
-def _objective_jacobian(
-    x: np.ndarray, problem: FitProblem, initial: SystemParams
-) -> np.ndarray:
-    """The Jacobian of _objective: exact, and zero on the flat penalty."""
-    try:
-        return _jacobian(problem, *_candidate(problem, initial, x))
-    except DomainError:
-        m = sum(o.residual_size for o in problem.observations)
-        return np.zeros((m, len(problem.free)))
+def _levenberg_marquardt(problem: FitProblem, initial: SystemParams, x, lower):
+    """Minimize half the squared residual from x over the box x >= lower.
+
+    Returns (x, model point, residual, Jacobian, evaluations, stopped on a
+    tolerance, message), with the Jacobian taken at the returned x.
+    """
+    point = _candidate(problem, initial, x)
+    residual = _residual_vector(problem, *point)
+    cost = 0.5 * float(residual @ residual)
+    evaluations = 1
+    max_evaluations = _EVALUATIONS_PER_PARAMETER * x.size
+    scale, damping, growth = None, _INITIAL_DAMPING, 2.0
+    message = None
+    while True:
+        jac = _jacobian(problem, *point)
+        gradient, gram = jac.T @ residual, jac.T @ jac
+        norms = np.linalg.norm(jac, axis=0)
+        if scale is None:
+            scale = np.where(norms > 0.0, norms, 1.0)
+        scale = np.maximum(scale, norms)
+        if message is None and np.max(np.abs(gradient)) < _TOLERANCE:
+            message = "gradient below tolerance"
+        if message is not None:
+            return x, point, residual, jac, evaluations, True, message
+        x_norm = np.linalg.norm(x)
+        while True:  # trial steps from x until one lowers the cost
+            if evaluations >= max_evaluations:
+                message = f"evaluation cap of {max_evaluations} reached"
+                return x, point, residual, jac, evaluations, False, message
+            evaluations += 1
+            try:
+                step = np.linalg.solve(gram + np.diag(damping * scale**2), -gradient)
+            except np.linalg.LinAlgError:
+                step = np.full(x.size, np.nan)
+            trial = _trial_residual(problem, initial, x + step, lower)
+            small_step = np.linalg.norm(step) < _TOLERANCE * (_TOLERANCE + x_norm)
+            if trial is not None:
+                trial_cost = 0.5 * float(trial[1] @ trial[1])
+                if trial_cost < cost:
+                    break
+            damping, growth = damping * growth, 2.0 * growth
+            if small_step:
+                return x, point, residual, jac, evaluations, True, "step below tolerance"
+        reduction = cost - trial_cost
+        # Nielsen's predicted reduction; a gain ratio above 1 acts as 1, which
+        # also covers a prediction that rounding has made nonpositive
+        predicted = 0.5 * float(step @ (damping * scale**2 * step - gradient))
+        ratio = reduction / max(predicted, reduction)
+        damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+        growth = 2.0
+        if reduction < _TOLERANCE * cost and ratio > 0.25:
+            message = "cost change below tolerance"
+        elif small_step:
+            message = "step below tolerance"
+        x, (point, residual), cost = x + step, trial, trial_cost
 
 
 def fit_parameters(
@@ -369,18 +429,17 @@ def fit_parameters(
 ) -> FitResult:
     """Fit the free parameters to all observations simultaneously.
 
-    Runs trust-region least squares from the given starting parameters,
-    with the analytic Jacobian of the rational response (one residual
-    evaluation per trial step, none for derivatives).  Candidate parameter
-    sets that violate model validity (for example an external rate exceeding
-    its total) are pushed away by a flat penalty residual, whose Jacobian is
-    zero, instead of aborting the solve.  Each residual and Jacobian
-    evaluation computes the drive-independent factors (den, zm and the
-    background prefactor) once per distinct detuning grid and shares them
-    across the observations taken on it.
+    Runs Levenberg-Marquardt from the given starting parameters on the
+    closed-form Jacobian of the rational response (see the module
+    docstring).  A trial step that leaves the positivity floors of the
+    rates, coupling_g or amplitude_scale, or that makes an invalid model
+    (for example an external rate exceeding its total), is rejected like a
+    step that does not lower the cost, so every iterate is a valid model.
+    The starting point must lie on or above those floors.  Each residual
+    and Jacobian evaluation computes the drive-independent factors (den, zm
+    and the background prefactor) once per distinct detuning grid and
+    shares them across the observations taken on it.
     """
-    from scipy.optimize import least_squares
-
     free = list(problem.free)
     if "phase_slope" in free and not any(o.has_phase for o in problem.observations):
         warnings.warn(
@@ -390,30 +449,23 @@ def fit_parameters(
         free.remove("phase_slope")
         problem = replace(problem, free=tuple(free))
     x0 = np.array([_initial_value(n, initial, problem) for n in free])
-    lower = np.array(
-        [problem.bounds.get(n, _DEFAULT_BOUNDS[n])[0] for n in free]
+    lower = np.array([_LOWER_BOUNDS.get(n, -np.inf) for n in free])
+    for name, value, bound in zip(free, x0, lower):
+        if value < bound:
+            raise DomainError(
+                f"initial {name} ({value}) is below the fit's floor {bound}"
+            )
+    x, (params, background, offset), residual, jac, evaluations, stopped, message = (
+        _levenberg_marquardt(problem, initial, x0, lower)
     )
-    upper = np.array(
-        [problem.bounds.get(n, _DEFAULT_BOUNDS[n])[1] for n in free]
+    residual_norm = float(np.linalg.norm(residual))
+    norms = np.linalg.norm(jac, axis=0)
+    scaled_gradient = np.abs(jac.T @ residual) / np.where(norms > 0.0, norms, 1.0)
+    converged = stopped and bool(
+        np.max(scaled_gradient) <= _GRADIENT_RTOL * max(1.0, residual_norm)
     )
-    result = least_squares(
-        _objective,
-        x0,
-        jac=_objective_jacobian,
-        args=(problem, initial),
-        bounds=(lower, upper),
-        method="trf",
-        x_scale="jac",
-        xtol=1e-14,
-        ftol=1e-14,
-        gtol=1e-14,
-    )
-    params, background, offset = _candidate(problem, initial, result.x)
-    residual_norm = float(np.linalg.norm(result.fun))
-    grad_inf = float(np.max(np.abs(result.grad))) if result.grad.size else 0.0
-    converged = grad_inf < _GRADIENT_RTOL * max(1.0, residual_norm)
 
-    stderr = _standard_errors(result.jac, residual_norm)
+    stderr = _standard_errors(jac, residual_norm)
     return FitResult(
         params=params,
         background=background,
@@ -421,12 +473,12 @@ def fit_parameters(
         if offset is not None
         else float(problem.observations[0].drive.phase_offset),
         free=tuple(free),
-        values={n: float(v) for n, v in zip(free, result.x)},
+        values={n: float(v) for n, v in zip(free, x)},
         stderr={n: s for n, s in zip(free, stderr)},
         residual_norm=residual_norm,
         converged=converged,
-        n_evaluations=int(result.nfev),
-        message=str(result.message),
+        n_evaluations=evaluations,
+        message=message,
     )
 
 

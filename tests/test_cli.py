@@ -135,46 +135,44 @@ def _run_fresh_python(args):
 
 
 class TestColdImport:
-    def test_only_fit_imports_scipy_optimize(self, tmp_path):
-        # scipy.optimize is most of a cold start and only fit_parameters needs it
+    def test_no_command_imports_scipy(self, tmp_path):
+        # magpol runs on numpy alone; scipy is a test-only reference
         config = _write_config(tmp_path / "device.toml", grid_count=101)
+        guess = _write_config(tmp_path / "guess.toml", grid_count=101, g=7.0)
+        traces = []
+        for k, delta in enumerate((0.0, 1.0, 2.0)):
+            drive = DriveField(ratio_delta=delta, phase_phi=0.35 * math.pi)
+            path = tmp_path / f"run{k}.s1p"
+            write_trace(
+                trace(TRUTH, drive, DetuningGrid(-60.0, 60.0, 241)),
+                path,
+                format=TraceFormat.TOUCHSTONE_S1P,
+                metadata={"delta": repr(delta), "phi": "0.35pi"},
+            )
+            traces += ["--data", str(path)]
         script = textwrap.dedent(
             f"""
             import contextlib, io, sys
-            import magpol
             import magpol.cli
-            from magpol.fit import FitObservation, FitProblem, fit_parameters
-            from magpol.model import DriveField, SystemParams
-            from magpol.spectra import DetuningGrid, trace
 
-            magpol.cli.build_parser()
             runs = [
-                ["spectrum"],
-                ["delay"],
-                ["classify"],
-                ["zero", "--phase-eff", "0.4pi"],
-                ["map", "--axis", "ratio", "--values", "0,1.5"],
+                [command, "--config", {config!r}, *options]
+                for command, *options in (
+                    ["spectrum"],
+                    ["delay"],
+                    ["classify"],
+                    ["zero", "--phase-eff", "0.4pi"],
+                    ["map", "--axis", "ratio", "--values", "0,1.5"],
+                )
             ]
-            with contextlib.redirect_stdout(io.StringIO()):
-                codes = [
-                    magpol.cli.dispatch([argv[0], "--config", {config!r}, *argv[1:]])
-                    for argv in runs
-                ]
+            runs.append(["fit", "--config", {guess!r}, *{traces!r}])
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                codes = [magpol.cli.dispatch(argv) for argv in runs]
             assert codes == [0] * len(runs), codes
-            assert "scipy.optimize" not in sys.modules
-
-            truth = SystemParams(0.0, 0.0, 7.6, 113.9, 1.2, 21.8, 0.6)
-            grid = DetuningGrid(-60.0, 60.0, 241)
-            drive = DriveField(ratio_delta=0.0)
-            observation = FitObservation(
-                grid=grid, values=trace(truth, drive, grid).t, drive=drive
-            )
-            problem = FitProblem(observations=(observation,), free=("coupling_g",))
-            start = SystemParams(0.0, 0.0, 7.0, 113.9, 1.2, 21.8, 0.6)
-            result = fit_parameters(problem, start)
-            assert result.converged, result.message
-            assert abs(result.values["coupling_g"] - 7.6) < 1e-9, result.values
-            assert "scipy.optimize" in sys.modules
+            assert "converged = true" in out.getvalue(), out.getvalue()
+            loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+            assert not loaded, loaded
             """
         )
         result = _run_fresh_python(["-c", script])
@@ -451,6 +449,22 @@ class TestFit:
         assert float(values["coupling_g"].split(" +/- ")[0]) == pytest.approx(
             7.6, rel=1e-6
         )
+
+    def test_start_below_the_fit_floor_exits_1(self, tmp_path, capsys):
+        # a valid device whose free rate starts below the fit's 1e-9 floor
+        path = tmp_path / "run.s1p"
+        grid = DetuningGrid(-60.0, 60.0, 241)
+        write_trace(
+            trace(TRUTH, DriveField(ratio_delta=0.0), grid),
+            path,
+            format=TraceFormat.TOUCHSTONE_S1P,
+        )
+        config = _write_config(tmp_path / "guess.toml", kappa_m=1e-12, kappa_m1=1e-13)
+        argv = ["fit", "--config", config, "--data", str(path), "--free", "kappa_m"]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "kappa_m" in captured.err and "floor" in captured.err
 
 
 class TestOracleCheck:

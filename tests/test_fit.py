@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import valid_params
+from conftest import REFERENCE, valid_params
+from magpol import fit as fit_module
 from magpol.errors import DomainError
 from magpol.fit import (
     DEFAULT_FREE,
@@ -17,8 +18,8 @@ from magpol.fit import (
     FitObservation,
     FitProblem,
     NoiseModel,
-    _objective,
-    _objective_jacobian,
+    _candidate,
+    _jacobian,
     _residual_vector,
     fit_parameters,
     synthesize_trace,
@@ -27,6 +28,17 @@ from magpol.model import DriveField, SystemParams
 from magpol.spectra import DetuningGrid, trace
 
 GRID = DetuningGrid(-60.0, 60.0, 1201)
+COMPLEX9_FREE = (
+    "coupling_g",
+    "kappa_c",
+    "kappa_m",
+    "kappa_c1",
+    "kappa_m1",
+    "cavity_freq",
+    "magnon_freq",
+    "amplitude_scale",
+    "phase_slope",
+)
 
 
 def _drives():
@@ -114,6 +126,14 @@ class TestFitProblemValidation:
             FitObservation(
                 grid=GRID, values=np.ones(7, complex), drive=DriveField(ratio_delta=0.0)
             )
+
+
+    def test_start_below_the_fit_floor(self, params):
+        # a valid device, but below the 1e-9 floor the fit keeps rates on
+        obs = synthesize_trace(params, DriveField(ratio_delta=0.0), GRID)
+        problem = FitProblem(observations=(obs,), free=("kappa_m",))
+        with pytest.raises(DomainError, match="kappa_m"):
+            fit_parameters(problem, replace(params, kappa_m=1e-12, kappa_m1=1e-13))
 
 
 class TestFitRecovery:
@@ -285,13 +305,17 @@ def _point(problem, params, background, offset):
     )
 
 
+def _residual_at(x, problem, initial):
+    return _residual_vector(problem, *_candidate(problem, initial, x))
+
+
 def _central_differences(problem, initial, x):
     columns = []
     for k in range(x.size):
         step = np.zeros_like(x)
         step[k] = 1e-6 * max(1.0, abs(x[k]))
-        upper = _objective(x + step, problem, initial)
-        lower = _objective(x - step, problem, initial)
+        upper = _residual_at(x + step, problem, initial)
+        lower = _residual_at(x - step, problem, initial)
         columns.append((upper - lower) / (2.0 * step[k]))
     return np.stack(columns, axis=1)
 
@@ -299,7 +323,7 @@ def _central_differences(problem, initial, x):
 def _assert_matches_central_differences(problem, params, x):
     """Each column within 1e-6 of its largest entry, plus 1e-8 for the
     rounding of the differences (about 1e-16 / step for residuals of order 1)."""
-    jac = _objective_jacobian(x, problem, params)
+    jac = _jacobian(problem, *_candidate(problem, params, x))
     reference = _central_differences(problem, params, x)
     assert jac.shape == reference.shape
     for k, name in enumerate(problem.free):
@@ -357,21 +381,169 @@ class TestJacobian:
         x = _point(problem, device, self.BACKGROUND, offset)
         _assert_matches_central_differences(problem, device, x)
 
-    def test_zero_at_a_penalized_candidate(self, params):
-        problem = _jacobian_problem(params, has_phase=False)
-        x = _point(problem, params, self.BACKGROUND, 0.0)
-        x[problem.free.index("kappa_c1")] = 2.0 * params.kappa_c  # kappa_c1 > kappa_c
-        assert np.all(_objective(x, problem, params) == 1e6)
-        jac = _objective_jacobian(x, problem, params)
-        m = sum(obs.residual_size for obs in problem.observations)
-        assert jac.shape == (m, len(FREE_PARAMETER_NAMES))
-        assert not np.any(jac)
+    def test_steps_across_the_validity_boundary_are_rejected(self, params, monkeypatch):
+        # kappa_c1 sits just below kappa_c, so trial steps that overshoot
+        # kappa_c downwards are not a valid model and must be rejected
+        truth = replace(params, kappa_c=25.0, kappa_c1=24.9)
+        observations = tuple(
+            synthesize_trace(truth, d, GRID, noise=NoiseModel(40.0), rng=30 + i)
+            for i, d in enumerate(_drives())
+        )
+        problem = FitProblem(observations=observations, free=("kappa_c",))
+        start = replace(truth, kappa_c=40.0)
+        rejected = []
+
+        def counting_candidate(*args):
+            try:
+                return _candidate(*args)
+            except DomainError:
+                rejected.append(args[-1])
+                raise
+
+        monkeypatch.setattr(fit_module, "_candidate", counting_candidate)
+        result = fit_parameters(problem, start)
+        assert rejected
+        assert isinstance(result.params, SystemParams)
+        assert replace(result.params) == result.params  # passes validation
+        reference = _reference_fit(problem, start)
+        assert result.residual_norm <= np.linalg.norm(reference.fun) * (1.0 + 1e-12)
 
     def test_magnitude_rows_are_finite_where_the_model_vanishes(self, params):
         problem = _jacobian_problem(params, has_phase=False)
         # a zero amplitude scale makes the model exactly 0 on every sample
         vanishing = BackgroundModel(amplitude_scale=0.0, phase_slope=0.003)
-        jac = _objective_jacobian(_point(problem, params, vanishing, 0.0), problem, params)
+        jac = _jacobian(problem, params, vanishing, 0.0)
         assert np.all(np.isfinite(jac))
         rows = problem.observations[-1].residual_size
         assert not np.any(jac[-rows:])
+
+
+def _complex9_problem(seed):
+    """Three 30 dB traces with all five rates, both mode frequencies and the
+    background free."""
+    rng = np.random.default_rng(seed)
+    observations = tuple(
+        synthesize_trace(REFERENCE, d, GRID, noise=NoiseModel(30.0), rng=rng)
+        for d in _drives()
+    )
+    return FitProblem(observations=observations, free=COMPLEX9_FREE)
+
+
+class TestConvergedFlag:
+    """converged: stopped on a tolerance test, with a small column-scaled
+    gradient."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_noisy_nine_parameter_fits_converge(self, seed):
+        result = fit_parameters(_complex9_problem(seed), _perturbed(REFERENCE))
+        assert result.converged, result.message
+
+    def test_evaluation_cap_is_not_convergence(self, monkeypatch):
+        # one free parameter: the start and a single trial step
+        monkeypatch.setattr(fit_module, "_EVALUATIONS_PER_PARAMETER", 2)
+        observations = tuple(synthesize_trace(REFERENCE, d, GRID) for d in _drives())
+        problem = FitProblem(observations=observations, free=("coupling_g",))
+        result = fit_parameters(problem, _perturbed(REFERENCE))
+        assert not result.converged
+        assert result.n_evaluations == 2
+        assert "evaluation cap of 2" in result.message
+
+    def test_capped_fit_is_not_converged_at_the_minimum(self, monkeypatch):
+        # the gradient test alone would pass here: the start is the minimum
+        observations = tuple(
+            synthesize_trace(REFERENCE, d, GRID, noise=NoiseModel(40.0), rng=50 + i)
+            for i, d in enumerate(_drives())
+        )
+        problem = FitProblem(observations=observations)
+        fitted = fit_parameters(problem, _perturbed(REFERENCE))
+        assert fitted.converged
+        monkeypatch.setattr(fit_module, "_EVALUATIONS_PER_PARAMETER", 0)
+        result = fit_parameters(problem, fitted.params)
+        assert result.values == fitted.values
+        assert not result.converged
+        assert "evaluation cap of 0" in result.message
+
+
+def _reference_fit(problem, initial):
+    """The former solver: scipy's trust-region reflective least squares on
+    the Jacobian-scaled problem, with the old bounds, the three 1e-14
+    tolerances, and a flat 1e6 residual (zero Jacobian) wherever a candidate
+    is not a valid model."""
+    least_squares = pytest.importorskip("scipy.optimize").least_squares
+    m = sum(o.residual_size for o in problem.observations)
+
+    def objective(x):
+        try:
+            return _residual_at(x, problem, initial)
+        except DomainError:
+            return np.full(m, 1e6)
+
+    def jacobian(x):
+        try:
+            return _jacobian(problem, *_candidate(problem, initial, x))
+        except DomainError:
+            return np.zeros((m, len(problem.free)))
+
+    floors = {"coupling_g": 0.0, "amplitude_scale": 1e-9}
+    floors.update(dict.fromkeys(("kappa_c", "kappa_m", "kappa_c1", "kappa_m1"), 1e-9))
+    free = problem.free
+    x0 = np.array([fit_module._initial_value(n, initial, problem) for n in free])
+    lower = np.array([floors.get(n, -np.inf) for n in free])
+    return least_squares(
+        objective,
+        x0,
+        jac=jacobian,
+        bounds=(lower, np.inf),
+        method="trf",
+        x_scale="jac",
+        xtol=1e-14,
+        ftol=1e-14,
+        gtol=1e-14,
+    )
+
+
+class TestSolverReference:
+    """The Levenberg-Marquardt fit against the former scipy solver on the
+    benchmark's three fit cases."""
+
+    CASES = {
+        "complex4": (DEFAULT_FREE, 40.0, True),
+        "complex9": (COMPLEX9_FREE, 30.0, True),
+        "magnitude4": (DEFAULT_FREE, 40.0, False),
+    }
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_reference(self, case, seed):
+        free, snr_db, has_phase = self.CASES[case]
+        rng = np.random.default_rng(1000 + seed)
+        observations = [
+            synthesize_trace(REFERENCE, d, GRID, noise=NoiseModel(snr_db), rng=rng)
+            for d in _drives()
+        ]
+        if not has_phase:
+            observations = [
+                FitObservation(
+                    grid=o.grid, values=np.abs(o.values), drive=o.drive, has_phase=False
+                )
+                for o in observations
+            ]
+        problem = FitProblem(observations=tuple(observations), free=free)
+        initial = _perturbed(REFERENCE)
+        result = fit_parameters(problem, initial)
+        reference = _reference_fit(problem, initial)
+        expected = dict(zip(free, reference.x))
+        reference_norm = np.linalg.norm(reference.fun)
+        reference_stderr = dict(
+            zip(free, fit_module._standard_errors(reference.jac, reference_norm))
+        )
+        assert result.residual_norm <= reference_norm * (1.0 + 1e-12)
+        for name in free:
+            if math.isfinite(reference_stderr[name]):
+                difference = abs(result.values[name] - expected[name])
+                assert difference <= 1e-4 * reference_stderr[name], name
+        if "magnon_freq" in free and "cavity_freq" in free:
+            offset = result.values["magnon_freq"] - result.values["cavity_freq"]
+            assert offset == pytest.approx(
+                expected["magnon_freq"] - expected["cavity_freq"], rel=1e-5
+            )
