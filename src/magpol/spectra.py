@@ -142,9 +142,17 @@ class SpectrumTrace:
 
 
 def _probe_terms_on(params: SystemParams, detunings: np.ndarray):
-    """(den, t_probe) on probe detunings; shared by every drive."""
+    """(den, t_probe) on probe detunings; shared by every drive.
+
+    Raises DomainError unless t_probe is finite on the whole grid, which
+    fails where den underflows (rates and detunings near 1e-170 MHz).
+    """
     delta_m = detunings + (params.magnon_freq - params.cavity_freq)
-    return _probe_terms(params, detunings, delta_m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den, t_probe = _probe_terms(params, detunings, delta_m)
+    if not np.isfinite(t_probe).all():
+        raise DomainError("reflection is not representable: the response denominator underflows")
+    return den, t_probe
 
 
 def _drive_coefficient(params: SystemParams, drive: DriveField) -> complex:

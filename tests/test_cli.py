@@ -27,7 +27,7 @@ TRUTH = SystemParams(
 )
 
 
-def _write_config(path, grid_count=1201, **system_overrides):
+def _write_config(path, grid_count=1201, grid_span=60, **system_overrides):
     system = {
         "g": 7.6,
         "kappa_c": 113.9,
@@ -38,7 +38,7 @@ def _write_config(path, grid_count=1201, **system_overrides):
     system.update(system_overrides)
     lines = ["[system]"]
     lines += [f"{key} = {value}" for key, value in system.items()]
-    lines += ["", "[grid]", "start = -60", "stop = 60", f"count = {grid_count}"]
+    lines += ["", "[grid]", f"start = {-grid_span}", f"stop = {grid_span}", f"count = {grid_count}"]
     path.write_text("\n".join(lines) + "\n")
     return str(path)
 
@@ -557,6 +557,46 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ratio_delta must be at most")
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["delay", "--delta", "1"], 0),
+            (["delay", "--delta", "1", "--method", "fd"], 0),
+            (["spectrum"], 1),
+            (["spectrum", "--format", "s1p"], 1),
+            (["map", "--axis", "ratio", "--values", "0,1"], 1),
+            (["map", "--axis", "phase", "--values", "0,1pi"], 1),
+            (["classify"], 1),
+            (["zero", "--phase-eff", "1.35pi"], 1),
+            (["oracle-check", "--count", "3"], 1),
+        ],
+        ids=[
+            "delay", "delay-fd", "spectrum", "s1p", "map-ratio", "map-phase", "classify", "zero",
+            "oracle-check",
+        ],
+    )
+    def test_rates_near_1e_minus_170_print_no_nan(self, tmp_path, capsys, argv, expected):
+        # |den| ~ 1e-340 underflows to 0 here; these commands used to print
+        # nan rows (or MIABS) with exit 0
+        config = _write_config(
+            tmp_path / "tiny.toml",
+            grid_span=1e-169,
+            g=1e-170,
+            kappa_c=1e-169,
+            kappa_m=1e-170,
+            kappa_c1=3e-170,
+            kappa_m1=5e-171,
+        )
+        code = dispatch([argv[0], "--config", config, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == expected
+        assert "Traceback" not in captured.err
+        if code == 0:
+            assert "nan" not in captured.out
+        else:
+            assert captured.out == ""
+            assert captured.err.startswith(("error:", "no zero-reflection"))
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = dispatch(["spectrum", "--config", str(tmp_path / "absent.toml")])

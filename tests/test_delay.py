@@ -7,13 +7,15 @@ match it, and both module methods must agree on whole traces.
 
 import cmath
 import math
+from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import valid_params
+from conftest import REFERENCE, valid_drives, valid_params
 from magpol.delay import (
     DelayTrace,
     TransitionSign,
@@ -40,6 +42,50 @@ def fd_phase_slope_delay(params, drive, detuning, h=1e-4):
     )
     slope = (p_m2 - 8.0 * p_m1 + 8.0 * p_p1 - p_p2) / (12.0 * h)
     return -slope / (2.0 * math.pi)
+
+
+def exact_response(params, drive, detuning):
+    """(num, den, dnum, dden) at one detuning as (re, im) pairs in exact
+    rational arithmetic on the float inputs; the pump term is taken as its
+    float value."""
+    d = Fraction(detuning)
+    d_m = d + Fraction(params.magnon_freq) - Fraction(params.cavity_freq)
+    kappa_c, kappa_m = Fraction(params.kappa_c), Fraction(params.kappa_m)
+    a_ext = kappa_c - 2 * Fraction(params.kappa_c1)
+    g2 = Fraction(params.coupling_g) ** 2
+    pump_amp = 2.0 * params.coupling_g * math.sqrt(params.kappa_c1 * params.kappa_m1)
+    pump = 1j * (pump_amp * drive.ratio_delta) * cmath.exp(-1j * drive.effective_phase)
+    num = (
+        a_ext * kappa_m - d * d_m + g2 + Fraction(pump.real),
+        a_ext * d_m + d * kappa_m + Fraction(pump.imag),
+    )
+    den = (kappa_c * kappa_m - d * d_m + g2, kappa_c * d_m + d * kappa_m)
+    dnum = (-(d + d_m), a_ext + kappa_m)
+    dden = (-(d + d_m), kappa_c + kappa_m)
+    return num, den, dnum, dden
+
+
+def norm2(z):
+    return z[0] ** 2 + z[1] ** 2
+
+
+def im_ratio(a, b):
+    """Im(a/b) for (re, im) pairs."""
+    return (a[1] * b[0] - a[0] * b[1]) / norm2(b)
+
+
+def exact_delay(params, drive, detuning):
+    """-(Im(dnum/num) - Im(dden/den)) / 2pi and the scale
+    (|Im(dnum/num)| + |Im(dden/den)|) / 2pi, exactly but for 2pi itself."""
+    num, den, dnum, dden = exact_response(params, drive, detuning)
+    im_num, im_den = im_ratio(dnum, num), im_ratio(dden, den)
+    two_pi = Fraction(2.0 * math.pi)
+    return float((im_den - im_num) / two_pi), float((abs(im_num) + abs(im_den)) / two_pi)
+
+
+def scaled(params, k):
+    """params with every rate and frequency multiplied by 2**k."""
+    return replace(params, **{f.name: math.ldexp(getattr(params, f.name), k) for f in fields(params)})
 
 
 def extremum_reference(params, phase_eff, ratios, grid):
@@ -92,6 +138,11 @@ class TestDelayAt:
                 delay_at(params, drive_off, -detuning), rel=1e-12
             )
 
+    @pytest.mark.parametrize("detuning", [math.nan, math.inf])
+    def test_non_finite_detuning_rejected(self, params, drive_off, detuning):
+        with pytest.raises(DomainError, match="finite"):
+            delay_at(params, drive_off, detuning)
+
     def test_diverges_at_zero_reflection(self, params):
         root = find_zero_reflection(params, 1.35 * math.pi)
         drive = DriveField.with_effective_phase(root.ratio_delta, 1.35 * math.pi)
@@ -134,6 +185,24 @@ class TestGroupDelay:
         assert np.isinf(result.delay[10])
         assert not result.diverged[9] and not result.diverged[11]
         assert np.isfinite(result.delay[9]) and np.isfinite(result.delay[11])
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-20.0, 20.0),
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from([math.pi, -math.pi, 2.0 * math.pi, 0.0, -0.0, math.nan, math.inf]),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_unwrap_phase_is_bitwise_np_unwrap(self, values):
+        raw = np.array(values, dtype=float)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected, result = np.unwrap(raw), unwrap_phase(raw)
+        assert np.array_equal(result, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(result), np.signbit(expected))
 
     def test_unwrap_phase_removes_jumps(self):
         raw = np.angle(np.exp(1j * np.linspace(0.0, 8.0 * math.pi, 200)))
@@ -285,3 +354,104 @@ class TestExtremumExactness:
             return
         result = delay_extremum_vs_ratio(params, phase_eff, ratios, grid)
         np.testing.assert_array_equal(result, expected)
+
+
+class TestHomogeneity:
+    """Scaling every rate, frequency and detuning by 2**k divides the delay
+    by 2**k bit for bit: the kernel's power-of-two rescaling keeps its
+    squares clear of underflow and overflow at every k."""
+
+    GRID = DetuningGrid(-10.0, 10.0, 201)
+    RATIOS = np.array([0.0, 0.5, 1.5, 3.0])
+
+    def assert_homogeneous(self, params, drive, phase_eff, k):
+        grid = DetuningGrid(math.ldexp(self.GRID.start, k), math.ldexp(self.GRID.stop, k), self.GRID.count)
+        assert np.array_equal(grid.values, np.ldexp(self.GRID.values, k))
+        plain = group_delay(params, drive, self.GRID)
+        result = group_delay(scaled(params, k), drive, grid)
+        assert np.array_equal(result.delay, np.ldexp(plain.delay, -k))
+        assert np.array_equal(result.diverged, plain.diverged)
+        assert np.array_equal(result.t, plain.t)
+        try:
+            extrema = delay_extremum_vs_ratio(params, phase_eff, self.RATIOS, self.GRID)
+        except DomainError:
+            with pytest.raises(DomainError):
+                delay_extremum_vs_ratio(scaled(params, k), phase_eff, self.RATIOS, grid)
+            return
+        result = delay_extremum_vs_ratio(scaled(params, k), phase_eff, self.RATIOS, grid)
+        assert np.array_equal(result, np.ldexp(extrema, -k))
+
+    @pytest.mark.parametrize("k", [-300, -250, -200, -150, -100, -40, 40, 100, 150])
+    def test_fixed_device(self, k):
+        params = replace(REFERENCE, cavity_freq=3.0, magnon_freq=-2.0)
+        drive = DriveField(ratio_delta=1.2, phase_phi=0.35 * math.pi)
+        self.assert_homogeneous(params, drive, 1.35 * math.pi, k)
+
+    @given(valid_params(), valid_drives(), st.floats(-math.pi, math.pi), st.integers(-300, 150))
+    @settings(max_examples=50, deadline=None)
+    def test_property(self, params, drive, phase_eff, k):
+        # scaling is exact only for inputs that stay normal doubles
+        values = [getattr(params, f.name) for f in fields(params)]
+        assume(all(math.ldexp(math.ldexp(v, k), -k) == v for v in values))
+        self.assert_homogeneous(params, drive, phase_eff, k)
+
+
+class TestExactOracle:
+    """The analytic delay against an exact rational evaluation of
+    -(Im(dnum/num) - Im(dden/den)) / 2pi."""
+
+    @given(valid_params(), valid_drives())
+    @settings(max_examples=50, deadline=None)
+    def test_property_matches_exact_evaluation(self, params, drive):
+        grid = DetuningGrid(-2.0 * params.kappa_c, 2.0 * params.kappa_c, 61)
+        result = group_delay(params, drive, grid)
+        for detuning, tau in zip(grid.values, result.delay):
+            num, den, _, _ = exact_response(params, drive, float(detuning))
+            if norm2(num) < Fraction(1e-12) * norm2(den):  # |num| < 1e-6 |den|
+                continue
+            exact, scale = exact_delay(params, drive, float(detuning))
+            assert abs(tau - exact) <= 1e-12 * scale
+
+    def test_guard_at_a_root_sample(self, params):
+        phase = 1.35 * math.pi
+        root = find_zero_reflection(params, phase)
+        drive = DriveField.with_effective_phase(root.ratio_delta, phase)
+        grid = DetuningGrid.from_values(root.detuning + 0.01 * np.arange(-10, 11))
+        num, den, _, _ = exact_response(params, drive, root.detuning)
+        assert norm2(num) < Fraction(1e-13) ** 2 * norm2(den)  # really below the guard
+        trace = group_delay(params, drive, grid)
+        assert trace.diverged[10] and np.count_nonzero(trace.diverged) == 1
+        with pytest.raises(DomainError, match="diverges"):
+            delay_at(params, drive, root.detuning)
+        [extremum] = delay_extremum_vs_ratio(params, phase, [root.ratio_delta], grid)
+        finite = np.delete(trace.delay, 10)
+        assert extremum == finite[np.argmax(np.abs(finite))]
+
+
+class TestUnderflowingRates:
+    """Rates and detunings near 1e-170 MHz: |den| ~ 1e-340 underflows to 0,
+    so the plain complex form printed nan; the rescaled kernel is exact."""
+
+    PARAMS = SystemParams(0.0, 0.0, 1e-170, 1e-169, 1e-170, 3e-170, 5e-171)
+    GRID = DetuningGrid(-1e-169, 1e-169, 41)
+    DRIVE = DriveField(ratio_delta=1.0)
+
+    def test_group_delay_matches_exact_evaluation(self):
+        result = group_delay(self.PARAMS, self.DRIVE, self.GRID)
+        assert not np.any(result.diverged)
+        assert np.all(np.isfinite(result.t))
+        # the float pump term underflows at 1e-170, so evaluate exactly on
+        # the device scaled by 2**560 and scale the delay back
+        lifted = scaled(self.PARAMS, 560)
+        for detuning, tau in zip(self.GRID.values, result.delay):
+            exact, _ = exact_delay(lifted, self.DRIVE, math.ldexp(detuning, 560))
+            assert tau == pytest.approx(math.ldexp(exact, 560), rel=1e-12)
+        fd = group_delay(self.PARAMS, self.DRIVE, self.GRID, method="finite-difference")
+        assert np.all(np.isfinite(fd.delay))
+
+    def test_delay_at_and_scan_agree_with_group_delay(self):
+        result = group_delay(self.PARAMS, self.DRIVE, self.GRID)
+        assert delay_at(self.PARAMS, self.DRIVE, self.GRID.values[20]) == result.delay[20]
+        extrema = delay_extremum_vs_ratio(self.PARAMS, self.DRIVE.effective_phase, [0.0, 1.0], self.GRID)
+        assert np.all(np.isfinite(extrema))
+        assert extrema[1] == result.delay[np.argmax(np.abs(result.delay))]

@@ -131,6 +131,18 @@ class TestTrace:
         assert spectrum.db[1] == -math.inf
         assert np.isfinite(spectrum.db[2])
 
+    def test_underflowing_denominator_is_a_domain_error(self):
+        # rates and detunings near 1e-170 MHz: den ~ 1e-340 underflows to 0
+        tiny = SystemParams(0.0, 0.0, 1e-170, 1e-169, 1e-170, 3e-170, 5e-171)
+        grid = DetuningGrid(-1e-169, 1e-169, 11)
+        drive = DriveField(ratio_delta=1.0)
+        with pytest.raises(DomainError, match="underflows"):
+            trace(tiny, drive, grid)
+        with pytest.raises(DomainError, match="underflows"):
+            sweep(tiny, drive, SweepAxis.RATIO, [0.0, 1.0], grid)
+        with pytest.raises(DomainError, match="underflows"):
+            classify_regime(tiny, drive, grid=grid)
+
     def test_magnitude_even_in_detuning_without_pump(self, params, drive_off):
         spectrum = trace(params, drive_off, DetuningGrid(-30.0, 30.0, 301))
         np.testing.assert_allclose(
