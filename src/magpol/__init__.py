@@ -21,14 +21,12 @@ from .delay import (
     detect_abrupt_transition,
     find_zero_reflection,
     group_delay,
-    unwrap_phase,
 )
 from .errors import (
     ConfigError,
     DomainError,
     IntegrationTimeout,
     MagpolError,
-    SingularityError,
     TraceParseError,
 )
 from .fit import (
@@ -48,9 +46,7 @@ from .model import (
     SystemParams,
     classify_coupling,
     output_field,
-    steady_state,
     transmission,
-    transmission_parts,
 )
 from .oracle import IntegratorConfig, integrate_to_steady, kernel_backend, oracle_transmission
 from .spectra import (
@@ -63,9 +59,7 @@ from .spectra import (
     baseline_level,
     classify_regime,
     default_grid,
-    extremum_near_resonance,
     sweep,
-    to_db,
     trace,
 )
 
@@ -90,7 +84,6 @@ __all__ = [
     "RegimeLabel",
     "RegimeThresholds",
     "RunConfig",
-    "SingularityError",
     "SpectrumTrace",
     "SweepAxis",
     "SweepMap",
@@ -108,7 +101,6 @@ __all__ = [
     "delay_at",
     "delay_extremum_vs_ratio",
     "detect_abrupt_transition",
-    "extremum_near_resonance",
     "find_zero_reflection",
     "fit_parameters",
     "group_delay",
@@ -120,13 +112,9 @@ __all__ = [
     "parse_config",
     "parse_phase",
     "read_trace",
-    "steady_state",
     "sweep",
     "synthesize_trace",
-    "to_db",
     "trace",
     "transmission",
-    "transmission_parts",
-    "unwrap_phase",
     "write_trace",
 ]

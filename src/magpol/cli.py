@@ -288,14 +288,17 @@ def _cmd_oracle_check(config: RunConfig, args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     errors = []
     for _ in range(args.count):
+        system = config.system
+        magnon_freq = rng.uniform(-5.0, 5.0)
+        coupling_g = system.coupling_g * rng.uniform(0.5, 2.0)
+        kappa_c = system.kappa_c * rng.uniform(0.5, 2.0)
+        kappa_m = system.kappa_m * rng.uniform(0.5, 2.0)
+        # the external rates are drawn independently of the totals, so clamp
+        # them at the drawn totals to keep every draw a valid device
+        kappa_c1 = min(system.kappa_c1 * rng.uniform(0.2, 1.0), kappa_c)
+        kappa_m1 = min(system.kappa_m1 * rng.uniform(0.2, 1.0), kappa_m)
         params = SystemParams(
-            cavity_freq=0.0,
-            magnon_freq=rng.uniform(-5.0, 5.0),
-            coupling_g=config.system.coupling_g * rng.uniform(0.5, 2.0),
-            kappa_c=config.system.kappa_c * rng.uniform(0.5, 2.0),
-            kappa_m=config.system.kappa_m * rng.uniform(0.5, 2.0),
-            kappa_c1=config.system.kappa_c1 * rng.uniform(0.2, 1.0),
-            kappa_m1=config.system.kappa_m1 * rng.uniform(0.2, 1.0),
+            0.0, magnon_freq, coupling_g, kappa_c, kappa_m, kappa_c1, kappa_m1
         )
         drive = DriveField(
             ratio_delta=rng.uniform(0.0, 3.0),

@@ -200,5 +200,9 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     """Read and parse a configuration file."""
-    with open(path, encoding="utf-8") as handle:
-        return parse_config(handle.read())
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    return parse_config(text)

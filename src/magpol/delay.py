@@ -13,16 +13,22 @@ computes the analytic delay in real arithmetic.  With t_p = num/den,
     tau = (Im(dden/den) - (Im dnum * Re num - Re dnum * Im num) / |num|^2) / 2pi
 
 where d is d/dDelta_p, and a sample diverges where
-|num|^2 <= ZERO_GUARD^2 * |den|^2.  Every rate, frequency and detuning is
-first scaled by an exact power of two that brings the largest below 1, so
-the squares cannot underflow or overflow because of the overall scale of
-the rates, and the delay is exactly homogeneous: scaling every input by
-2^k divides it by 2^k bit for bit.
+|num|^2 <= ZERO_GUARD^2 * |den|^2.  zc, zm and den come from the model's
+core, model._response_terms, which scales every rate, frequency and
+detuning by an exact power of two that brings the largest below 1; so the
+squares cannot underflow or overflow because of the overall scale of the
+rates, and the delay is exactly homogeneous: scaling every input by 2^k
+divides it by 2^k bit for bit.  den itself never vanishes for a valid device
+(Re den >= kappa_c*kappa_m wherever Im den = 0; see model.py), so the only
+guard is on num; a den that underflows to 0 even after the prescale, which
+takes rates spanning about 300 decades, is a DomainError.
 
 Zeros of t_p in the (pump ratio, detuning) plane are found in closed form:
 at fixed effective phase, Im t_p = 0 is linear in the detuning and Re t_p = 0
 reduces to a quadratic in the ratio.  A Newton polish on the exact residual
-then brings the root to machine precision.
+then brings the root to machine precision.  The quadratic, the polish and
+the residual all run in the core's scaled units, so the ratio and residual
+are scale-free and the detuning scales exactly with the rates.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import DriveField, SystemParams
+from .model import DriveField, SystemParams, _pump_term, _response_terms
 from .spectra import DetuningGrid
 
 ZERO_GUARD = 1e-13
@@ -42,66 +48,18 @@ ZERO_GUARD = 1e-13
 _TWO_PI = 2.0 * math.pi
 
 
-def unwrap_phase(raw) -> np.ndarray:
-    """Unwrap a phase series so adjacent jumps stay within (-pi, pi].
-
-    Equals np.unwrap(raw) bit for bit, but computes the 2pi correction only
-    at the steps that need one (|step| >= pi, or NaN), not at every step.
-    """
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 1:
-        raise DomainError("phase series must be 1-d")
-    step = np.diff(raw)
-    jumps = np.flatnonzero(~(np.abs(step) < math.pi))
-    correction = np.zeros_like(step)
-    if jumps.size:
-        jump = step[jumps]
-        wrapped = np.mod(jump + math.pi, _TWO_PI) - math.pi
-        wrapped[(wrapped == -math.pi) & (jump > 0.0)] = math.pi
-        correction[jumps] = wrapped - jump
-    unwrapped = raw.copy()
-    unwrapped[1:] += np.cumsum(correction)
-    return unwrapped
-
-
-def _drive_free_response(params: SystemParams, delta_p, exponent: int = 0):
-    """(base, den, slope, dnum_imag, dden_imag, pump_scale): every factor of
-    the response that does not depend on the pump drive.  num = base +
-    _pump_term(pump_scale, ...), and the detuning derivatives are
-    dnum = slope + i*dnum_imag and dden = slope + i*dden_imag.
-
-    Every rate and frequency of params enters scaled by 2^-exponent; delta_p
-    is taken as given, so the caller scales it alike.
-    """
-    offset = math.ldexp(params.magnon_freq - params.cavity_freq, -exponent)
-    kappa_c = math.ldexp(params.kappa_c, -exponent)
-    kappa_m = math.ldexp(params.kappa_m, -exponent)
+def _numerator_terms(params: SystemParams, zc, zm, exponent: int):
+    """(base, slope, dnum_imag, dden_imag) from the core's scaled zc and zm:
+    num = base + pump term, dnum = slope + i*dnum_imag and
+    dden = slope + i*dden_imag, all in the units of 2^-exponent."""
     kappa_c1 = math.ldexp(params.kappa_c1, -exponent)
     g = math.ldexp(params.coupling_g, -exponent)
-    delta_m = delta_p + offset
+    kappa_c = math.ldexp(params.kappa_c, -exponent)
+    kappa_m = math.ldexp(params.kappa_m, -exponent)
     a_ext = kappa_c - 2.0 * kappa_c1
-    i_delta_p = 1j * delta_p
-    zc_ext = i_delta_p + a_ext
-    zm = 1j * delta_m + kappa_m
-    zc = i_delta_p + kappa_c
-    base = zc_ext * zm + g * g
-    den = zc * zm + g * g
-    # dnum = i*(zm + zc_ext) and dden = i*(zm + zc)
-    slope = -delta_m - delta_p
-    pump_scale = 2.0 * g * math.sqrt(kappa_c1 * math.ldexp(params.kappa_m1, -exponent))
-    return base, den, slope, kappa_m + a_ext, kappa_m + kappa_c, pump_scale
-
-
-def _pump_term(pump_scale: float, ratio: float, phase_eff: float) -> complex:
-    """The pump drive's complex contribution to the numerator of t_p."""
-    pump = pump_scale * ratio
-    return 1j * pump * complex(math.cos(phase_eff), -math.sin(phase_eff))
-
-
-def _response(params: SystemParams, ratio: float, phase_eff: float, delta_p):
-    """(num, den, dnum) at one detuning: t_p = num/den, dnum = d num/dDelta_p."""
-    base, den, slope, dnum_imag, _, pump_scale = _drive_free_response(params, delta_p)
-    return base + _pump_term(pump_scale, ratio, phase_eff), den, complex(slope, dnum_imag)
+    # zc - 2*kappa_c1 is i*Delta_p + a_ext, and dnum = i*(zm + zc_ext)
+    base = (zc - 2.0 * kappa_c1) * zm + g * g
+    return base, -zm.imag - zc.imag, kappa_m + a_ext, kappa_m + kappa_c
 
 
 class _DelayKernel:
@@ -114,33 +72,17 @@ class _DelayKernel:
     in-place ufunc calls on preallocated buffers, with no complex division,
     complex temporary or boolean-index copy.
 
-    Rates, frequencies and detunings are scaled by 2^-exponent, where
-    2^exponent is the smallest power of two above the largest of them
-    (near 1e-170 MHz the unscaled |den| underflows to 0), and the delay is
-    scaled back by dividing by 2pi * 2^exponent.  Every scaling is exact, so
-    base, den and t = num/den keep their bits wherever the unscaled terms
-    are representable.
+    Works in the core's scaled units (near 1e-170 MHz the unscaled |den|
+    underflows to 0) and scales the delay back by dividing by
+    2pi * 2^exponent.  Every scaling is exact, so base, den and t = num/den
+    keep their bits wherever the unscaled terms are representable.
     """
 
     def __init__(self, params: SystemParams, delta_p: np.ndarray):
-        """delta_p is increasing, so its largest magnitude is at an end."""
-        offset = params.magnon_freq - params.cavity_freq
-        scale = max(
-            params.kappa_c,
-            params.kappa_m,
-            params.coupling_g,
-            abs(offset),
-            abs(float(delta_p[0])),
-            abs(float(delta_p[-1])),
-        )
-        exponent = math.frexp(scale)[1]
-        # keeps 2^-exponent and 2pi * 2^exponent normal doubles
-        if not -1020 <= exponent <= 1020:
-            raise DomainError("group delay is not representable for these rates")
-        self.detunings = delta_p * math.ldexp(1.0, -exponent)
-        base, den, slope, dnum_imag, dden_imag, self.pump_scale = _drive_free_response(
-            params, self.detunings, exponent
-        )
+        """delta_p is increasing, as the core requires."""
+        zc, zm, den, self.pump_scale, exponent = _response_terms(params, delta_p)
+        base, slope, dnum_imag, dden_imag = _numerator_terms(params, zc, zm, exponent)
+        self.detunings = zc.imag  # the scaled delta_p
         den_sq = den.real * den.real + den.imag * den.imag
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             self._q = (dden_imag * den.real - slope * den.imag) / den_sq
@@ -227,7 +169,7 @@ def group_delay(
     pump = kernel.pump(drive.ratio_delta, drive.effective_phase)
     delay, diverged = kernel(pump)
     t = (kernel.base + pump) / kernel.den
-    phase = unwrap_phase(np.angle(t))
+    phase = np.unwrap(np.angle(t))
     if method == "finite-difference":
         delay = -np.gradient(phase, kernel.detunings, edge_order=2) / kernel.divisor
     if diverged.any():
@@ -270,21 +212,29 @@ def find_zero_reflection(
     iteration on the exact residual, or None when no such root exists (or
     when it exceeds max_ratio).
     """
-    g = params.coupling_g
-    pump_scale = 2.0 * g * math.sqrt(params.kappa_c1 * params.kappa_m1)
+    _, _, _, pump_scale, exponent = _response_terms(params, 0.0)
     if pump_scale == 0.0:
         return None
-    a_ext = params.kappa_c - 2.0 * params.kappa_c1
-    s_lin = params.kappa_m + a_ext
-    offset = params.magnon_freq - params.cavity_freq
+    kappa_c, kappa_m, kappa_c1, g, offset = (
+        math.ldexp(value, -exponent)
+        for value in (
+            params.kappa_c,
+            params.kappa_m,
+            params.kappa_c1,
+            params.coupling_g,
+            params.magnon_freq - params.cavity_freq,
+        )
+    )
+    a_ext = kappa_c - 2.0 * kappa_c1
+    s_lin = kappa_m + a_ext
     c = math.cos(phase_eff)
     s = math.sin(phase_eff)
-    if abs(s_lin) < 1e-12 * params.kappa_c:
+    if abs(s_lin) < 1e-12 * kappa_c:
         # the imaginary part no longer pins the detuning; outside this
         # codimension-one parameter slice no root is reported
         return None
     w = offset * a_ext
-    base = a_ext * params.kappa_m + g * g
+    base = a_ext * kappa_m + g * g
     # quadratic a2*u^2 + a1*u + a0 = 0 in u = pump_scale * ratio, obtained by
     # eliminating the detuning between Im t_p = 0 and Re t_p = 0
     a2 = -c * c
@@ -305,12 +255,18 @@ def find_zero_reflection(
         return None
     u = candidates[0]
     ratio = u / pump_scale
-    detuning = -(w + u * c) / s_lin
+    detuning = math.ldexp(-(w + u * c) / s_lin, exponent)
+
+    def response(ratio, detuning):
+        """(num, den, dnum) at one detuning, in the scaled units."""
+        zc, zm, den, _, _ = _response_terms(params, detuning, exponent)
+        base, slope, dnum_imag, _ = _numerator_terms(params, zc, zm, exponent)
+        return base + _pump_term(pump_scale, ratio, phase_eff), den, complex(slope, dnum_imag)
 
     # Newton polish on (Re num, Im num); num is linear in the ratio
-    dnum_dratio = 1j * pump_scale * complex(math.cos(phase_eff), -math.sin(phase_eff))
+    dnum_dratio = _pump_term(pump_scale, 1.0, phase_eff)
     for _ in range(12):
-        num, den, dnum = _response(params, ratio, phase_eff, detuning)
+        num, den, dnum = response(ratio, detuning)
         if abs(num) <= 1e-15 * abs(den):
             break
         j00, j01 = dnum_dratio.real, dnum.real
@@ -321,12 +277,14 @@ def find_zero_reflection(
         d_ratio = (-num.real * j11 + num.imag * j01) / det
         d_detuning = (-num.imag * j00 + num.real * j10) / det
         ratio += d_ratio
-        detuning += d_detuning
+        detuning += math.ldexp(d_detuning, exponent)
     if ratio < 0.0:
         return None
     if max_ratio is not None and ratio > max_ratio:
         return None
-    num, den, _ = _response(params, ratio, phase_eff, detuning)
+    num, den, _ = response(ratio, detuning)
+    if den == 0.0:  # only for rates spanning about 300 decades
+        raise DomainError("reflection is not representable for these rates")
     return ZeroReflectionPoint(
         ratio_delta=ratio, detuning=detuning, residual=abs(num / den)
     )

@@ -13,10 +13,6 @@ class DomainError(MagpolError):
     """Input outside the physical or documented domain of an operation."""
 
 
-class SingularityError(DomainError):
-    """A denominator collapsed below the numerical guard threshold."""
-
-
 class IntegrationTimeout(MagpolError):
     """The time integrator hit max_time before the settle criterion."""
 

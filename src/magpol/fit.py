@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .model import DriveField, SystemParams, _pump_coefficient
+from .model import DriveField, SystemParams, _pump_term, _response_terms
 from .spectra import DetuningGrid, _drive_coefficient, _probe_terms_on, trace
 
 _SYSTEM_FIELDS = (
@@ -234,20 +234,22 @@ def _candidate(
 
 
 def _residual_terms(params: SystemParams, background: BackgroundModel, detunings):
-    """(den, t_probe, background prefactor): the residual's drive-free factors."""
+    """(den, t_probe, pump_scale, background prefactor): the residual's
+    drive-free factors, den and pump_scale in the core's scaled units."""
     return (*_probe_terms_on(params, detunings), background._prefactor(detunings))
 
 
 def _jacobian_terms(params: SystemParams, background: BackgroundModel, detunings):
-    """(zc, zm, den, exp(i*s*Delta), prefactor, prefactor/den): the
-    Jacobian's drive-free factors, with den = zc*zm + g**2 and
-    prefactor = A*exp(i*s*Delta)."""
-    zc = 1j * detunings + params.kappa_c
-    zm = 1j * (detunings + (params.magnon_freq - params.cavity_freq)) + params.kappa_m
-    den = zc * zm + params.coupling_g**2
+    """(zc, zm, den, pump_scale, exp(i*s*Delta), prefactor, prefactor/den):
+    the Jacobian's drive-free factors, unscaled, with den = zc*zm + g**2
+    and prefactor = A*exp(i*s*Delta).
+
+    The fit's floors keep |den| above about 1e-18, so these need no
+    prescale, and the columns need no rescaling."""
+    zc, zm, den, pump_scale, _ = _response_terms(params, detunings, exponent=0)
     rotation = np.exp(1j * background.phase_slope * detunings)
     prefactor = background.amplitude_scale * rotation
-    return zc, zm, den, rotation, prefactor, prefactor / den
+    return zc, zm, den, pump_scale, rotation, prefactor, prefactor / den
 
 
 def _shared_terms(cache: list, compute, params, background, detunings):
@@ -272,10 +274,10 @@ def _residual_vector(
     parts = []
     for obs in problem.observations:
         drive = obs.drive if offset is None else replace(obs.drive, phase_offset=offset)
-        den, t_probe, prefactor = _shared_terms(
+        den, t_probe, pump_scale, prefactor = _shared_terms(
             cache, _residual_terms, params, background, obs.grid.values
         )
-        model = prefactor * (t_probe + _drive_coefficient(params, drive) / den)
+        model = prefactor * (t_probe + _drive_coefficient(pump_scale, drive) / den)
         if obs.has_phase:
             diff = model - obs.values
             parts.append(diff.real)
@@ -291,7 +293,8 @@ def _response_partials(name, params, drive, c, zc, zm):
     kappa_c1 = params.kappa_c1
     if name == "coupling_g":
         # c is linear in g, so dc/dg is c at unit coupling
-        unit = _pump_coefficient(replace(params, coupling_g=1.0), drive)
+        unit_scale = 2.0 * math.sqrt(kappa_c1 * params.kappa_m1)
+        unit = _pump_term(unit_scale, drive.ratio_delta, drive.effective_phase)
         return unit, 2.0 * params.coupling_g
     if name == "kappa_c":
         return 0.0, zm
@@ -328,10 +331,10 @@ def _jacobian(
     for obs in problem.observations:
         drive = obs.drive if offset is None else replace(obs.drive, phase_offset=offset)
         detunings = obs.grid.values
-        zc, zm, den, rotation, prefactor, scaled = _shared_terms(
+        zc, zm, den, pump_scale, rotation, prefactor, scaled = _shared_terms(
             cache, _jacobian_terms, params, background, detunings
         )
-        c = _drive_coefficient(params, drive)
+        c = _drive_coefficient(pump_scale, drive)
         q = (c - 2.0 * params.kappa_c1 * zm) / den
         t = 1.0 + q
         model = prefactor * t

@@ -143,7 +143,10 @@ def _read_touchstone(
             raise TraceParseError("frequencies must be strictly increasing", line=lineno)
         last_freq = freq
         freqs.append(freq)
-        samples.append(_decode_sample(layout, a, b))
+        try:
+            samples.append(_decode_sample(layout, a, b))
+        except OverflowError:  # a DB magnitude above about 6165 dB
+            raise TraceParseError(f"sample overflows in {line!r}", line=lineno) from None
     if unit is None:
         raise TraceParseError("missing option line")
     if not freqs:
@@ -214,8 +217,11 @@ def read_trace(path, cavity_freq: float = 0.0) -> tuple[TraceFile, SpectrumTrace
     everything else parses as Touchstone.  cavity_freq (MHz) sets the
     frequency-to-detuning conversion for Touchstone input.
     """
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
     for line in lines:
         stripped = line.strip()
         if not stripped:

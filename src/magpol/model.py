@@ -11,14 +11,29 @@ MHz, understood as linear frequencies; a rate kappa enters the response as
 The reflected probe normalized to the incident probe is
 
     t_p = t_probe + t_pump
-    t_probe = 1 - 2*kappa_c1*(i*Delta_m + kappa_m) / den
+    t_probe = 1 - 2*kappa_c1*zm / den
     t_pump  = i*g*2*sqrt(kappa_c1*kappa_m1)*delta*exp(-i*phi_eff) / den
-    den     = (i*Delta_c + kappa_c)*(i*Delta_m + kappa_m) + g**2
+    den     = zc*zm + g**2,  zc = i*Delta_c + kappa_c,  zm = i*Delta_m + kappa_m
 
 with Delta_c = cavity_freq - probe_freq, Delta_m = magnon_freq - probe_freq,
 and phi_eff = phase_phi + phase_offset.  The same den appears in the
 steady-state mode amplitudes, which feed the equivalent input-output route
-t_p = output_field / probe_amp.
+t_p = output_field / probe_amp (see oracle.py).
+
+Every response path (transmission, spectra.trace and sweep, the regime
+labels, the fit, the group delay and the zero-reflection solver) builds zc,
+zm and den in one core, _response_terms.  It first scales every rate,
+frequency and detuning by an exact power of two that brings the largest
+below 1, so no product underflows or overflows because of the overall scale
+of the rates: t_p at rates near 1e-170 MHz is the same number as at the same
+device scaled up by 2^560.  Scaling by a power of two is exact, so t_p keeps
+its bits wherever the unscaled terms are representable.
+
+den never vanishes for a valid device: with kappa_c, kappa_m > 0,
+Re den >= kappa_c*kappa_m wherever Im den = kappa_c*Delta_m + kappa_m*Delta_c
+is 0.  After the prescale it can underflow to 0 only when the rates span
+about 300 decades; there the response raises DomainError ("not
+representable") instead of returning a non-finite number.
 """
 
 from __future__ import annotations
@@ -28,10 +43,11 @@ import enum
 import math
 from dataclasses import dataclass, field, fields
 
-from .errors import DomainError, SingularityError
+import numpy as np
+
+from .errors import DomainError
 
 ETA_CRITICAL_TOL = 1e-12
-DENOMINATOR_GUARD = 1e-15
 # Largest magnitude (MHz) of a SystemParams field or a DetuningGrid bound.
 # The response, the zero-reflection quadratic and the fit Jacobian multiply
 # at most four such magnitudes, with coefficients below 250; at this cap even
@@ -121,8 +137,10 @@ class SystemParams:
         return classify_coupling(self.eta_m)
 
     def feature_width(self) -> float:
-        """Width scale (MHz) of the narrow magnon-like feature."""
-        return self.kappa_m + self.coupling_g**2 / self.kappa_c
+        """Width scale (MHz) of the narrow magnon-like feature,
+        kappa_m + g^2/kappa_c; formed without g^2, which underflows for
+        rates below about 1e-162 MHz."""
+        return self.kappa_m + self.coupling_g * (self.coupling_g / self.kappa_c)
 
 
 @dataclass(frozen=True)
@@ -184,65 +202,41 @@ class ModeAmplitudes:
     magnon_amp: complex
 
 
-def _denominator(params: SystemParams, delta_c, delta_m):
-    return (1j * delta_c + params.kappa_c) * (
-        1j * delta_m + params.kappa_m
-    ) + params.coupling_g**2
+def _response_terms(params: SystemParams, delta_p, exponent: int | None = None):
+    """(zc, zm, den, pump_scale, exponent): the drive-free factors of t_p at
+    probe detunings delta_p (a float, or an increasing array), every rate,
+    frequency and detuning scaled by 2^-exponent.
 
-
-def _probe_terms(params: SystemParams, delta_c, delta_m):
-    """(den, t_probe): the drive-independent part of t_p; scalar or array."""
-    den = _denominator(params, delta_c, delta_m)
-    t_probe = 1.0 - 2.0 * params.kappa_c1 * (1j * delta_m + params.kappa_m) / den
-    return den, t_probe
-
-
-def _pump_coefficient(params: SystemParams, drive: DriveField) -> complex:
-    """Complex scalar c with t_pump = c / den; the only drive-dependent factor."""
-    pump_amp = (
-        2.0
-        * params.coupling_g
-        * math.sqrt(params.kappa_c1 * params.kappa_m1)
-        * drive.ratio_delta
-    )
-    return 1j * pump_amp * cmath.exp(-1j * drive.effective_phase)
-
-
-def _transmission_terms(params: SystemParams, drive: DriveField, delta_c, delta_m):
-    """Probe and pump pathway terms of t_p; accepts scalar or array detunings."""
-    den, t_probe = _probe_terms(params, delta_c, delta_m)
-    return t_probe, _pump_coefficient(params, drive) / den
-
-
-def steady_state(
-    params: SystemParams, drive: DriveField, probe_freq: float
-) -> ModeAmplitudes:
-    """Steady-state amplitudes in the frame rotating with the probe.
-
-    Solves the 2x2 linear response of the driven coupled modes.  Amplitudes
-    are normalized so the input-output relation reads
-    output = probe_amp - sqrt(2*kappa_c1)*cavity_amp.
+    zc = i*Delta_p + kappa_c, zm = i*(Delta_p + offset) + kappa_m and
+    den = zc*zm + g*g, with offset = magnon_freq - cavity_freq; the pump
+    coefficient of a drive is _pump_term(pump_scale, ratio, phase), at the
+    same scale.  With exponent None, 2^exponent is the smallest power of two
+    above the largest of kappa_c, kappa_m, g, |offset| and |delta_p| (at the
+    ends of an array).
     """
-    delta_c = params.cavity_freq - probe_freq
-    delta_m = params.magnon_freq - probe_freq
-    den = _denominator(params, delta_c, delta_m)
-    if abs(den) < DENOMINATOR_GUARD:
-        raise SingularityError(
-            f"response denominator collapsed (|den| = {abs(den)!r})"
-        )
-    drive_c = math.sqrt(2.0 * params.kappa_c1) * drive.probe_amp
-    drive_m = (
-        math.sqrt(2.0 * params.kappa_m1)
-        * drive.ratio_delta
-        * drive.probe_amp
-        * cmath.exp(-1j * drive.effective_phase)
-    )
-    zc = 1j * delta_c + params.kappa_c
-    zm = 1j * delta_m + params.kappa_m
-    g = params.coupling_g
-    cavity = (drive_c * zm - 1j * g * drive_m) / den
-    magnon = (drive_m * zc - 1j * g * drive_c) / den
-    return ModeAmplitudes(cavity_amp=cavity, magnon_amp=magnon)
+    offset = params.magnon_freq - params.cavity_freq
+    if exponent is None:
+        ends = (delta_p[0], delta_p[-1]) if isinstance(delta_p, np.ndarray) else (delta_p,)
+        rates = (params.kappa_c, params.kappa_m, params.coupling_g, abs(offset))
+        exponent = math.frexp(max(*rates, *map(abs, ends)))[1]
+        # keeps 2^-exponent and 2^exponent normal doubles
+        if not -1020 <= exponent <= 1020:
+            raise DomainError("reflection is not representable for these rates")
+    scale = math.ldexp(1.0, -exponent)
+    if exponent:  # exponent 0 (the fit Jacobian) copies no array
+        delta_p = delta_p * scale
+    zc = 1j * delta_p + params.kappa_c * scale
+    zm = 1j * (delta_p + offset * scale) + params.kappa_m * scale
+    g = params.coupling_g * scale
+    den = zc * zm + g * g
+    pump_scale = 2.0 * g * math.sqrt(params.kappa_c1 * scale * (params.kappa_m1 * scale))
+    return zc, zm, den, pump_scale, exponent
+
+
+def _pump_term(pump_scale: float, ratio: float, phase_eff: float) -> complex:
+    """The pump drive's contribution c to t_p * den (t_pump = c / den)."""
+    pump = pump_scale * ratio
+    return 1j * pump * complex(math.cos(phase_eff), -math.sin(phase_eff))
 
 
 def output_field(params: SystemParams, cavity_amp: complex, probe_amp: float) -> complex:
@@ -250,23 +244,21 @@ def output_field(params: SystemParams, cavity_amp: complex, probe_amp: float) ->
     return probe_amp - math.sqrt(2.0 * params.kappa_c1) * cavity_amp
 
 
-def transmission_parts(
-    params: SystemParams, drive: DriveField, probe_freq: float
-) -> tuple[complex, complex]:
-    """(t_probe, t_pump) pathway terms; their sum is the full t_p."""
+def transmission(params: SystemParams, drive: DriveField, probe_freq: float) -> complex:
+    """Normalized complex reflection t_p of the probe tone.
+
+    Raises DomainError where t_p is not representable, which takes rates
+    that span about 300 decades.
+    """
     if drive.probe_amp == 0.0:
         raise DomainError("transmission is undefined for probe_amp == 0")
-    delta_c = params.cavity_freq - probe_freq
-    delta_m = params.magnon_freq - probe_freq
-    den = _denominator(params, delta_c, delta_m)
-    if abs(den) < DENOMINATOR_GUARD:
-        raise SingularityError(
-            f"response denominator collapsed (|den| = {abs(den)!r})"
-        )
-    return _transmission_terms(params, drive, delta_c, delta_m)
-
-
-def transmission(params: SystemParams, drive: DriveField, probe_freq: float) -> complex:
-    """Normalized complex reflection t_p of the probe tone."""
-    t_probe, t_pump = transmission_parts(params, drive, probe_freq)
-    return t_probe + t_pump
+    zc, zm, den, pump_scale, exponent = _response_terms(
+        params, params.cavity_freq - probe_freq
+    )
+    t = math.nan  # den underflows to 0 only across about 300 decades of rates
+    if den != 0.0:
+        pump = _pump_term(pump_scale, drive.ratio_delta, drive.effective_phase)
+        t = 1.0 - 2.0 * math.ldexp(params.kappa_c1, -exponent) * zm / den + pump / den
+    if not cmath.isfinite(t):
+        raise DomainError("reflection is not representable for these rates")
+    return t

@@ -2,8 +2,9 @@
 
 Integrates the rotating-frame equations of motion x' = A x + f, with
 x = (a, m), by fixed-step RK4 from rest until the amplitudes settle, then
-reports them in the same normalization as model.steady_state.  This is
-deliberately an independent route to the same numbers: the closed form never
+reports them normalized so that model.output_field turns the cavity
+amplitude into the reflected probe.  This is deliberately an independent
+route to the closed-form t_p of model.transmission: the closed form never
 enters the integration.
 
 Because A and f are constant, one RK4 step of size h is exactly the affine
@@ -139,8 +140,8 @@ def integrate_to_steady(
 ) -> ModeAmplitudes:
     """Integrate the driven two-mode system from rest to steady state.
 
-    Returns amplitudes in the linear-rate normalization of
-    model.steady_state.  Raises IntegrationTimeout if the windowed settle
+    Returns amplitudes in the linear-rate normalization under which
+    model.output_field gives the reflected probe.  Raises IntegrationTimeout if the windowed settle
     criterion is not met within max_time, and DomainError if the step count
     would not be a finite double.
     """

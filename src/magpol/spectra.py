@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .model import MAX_MAGNITUDE, DriveField, SystemParams, _probe_terms, _pump_coefficient
+from .model import MAX_MAGNITUDE, DriveField, SystemParams, _pump_term, _response_terms
 
 DEFAULT_GRID_SPAN = 60.0
 DEFAULT_GRID_COUNT = 1201
@@ -31,13 +31,6 @@ DEFAULT_GRID_COUNT = 1201
 MAX_GRID_COUNT = 1_000_000
 
 _GRID_UNIFORM_RTOL = 1e-9
-
-
-def to_db(magnitude: float) -> float:
-    """Amplitude magnitude in dB; -inf sentinel for magnitude <= 0."""
-    if magnitude <= 0.0:
-        return -math.inf
-    return 20.0 * math.log10(magnitude)
 
 
 @dataclass(frozen=True)
@@ -142,33 +135,34 @@ class SpectrumTrace:
 
 
 def _probe_terms_on(params: SystemParams, detunings: np.ndarray):
-    """(den, t_probe) on probe detunings; shared by every drive.
+    """(den, t_probe, pump_scale) on increasing probe detunings, shared by
+    every drive; den and pump_scale are in model._response_terms' scaled
+    units, so t_p = t_probe + _drive_coefficient(pump_scale, drive) / den.
 
     Raises DomainError unless t_probe is finite on the whole grid, which
-    fails where den underflows (rates and detunings near 1e-170 MHz).
+    fails only where den underflows (rates spanning about 300 decades).
     """
-    delta_m = detunings + (params.magnon_freq - params.cavity_freq)
+    _, zm, den, pump_scale, exponent = _response_terms(params, detunings)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den, t_probe = _probe_terms(params, detunings, delta_m)
+        t_probe = 1.0 - 2.0 * math.ldexp(params.kappa_c1, -exponent) * zm / den
     if not np.isfinite(t_probe).all():
         raise DomainError("reflection is not representable: the response denominator underflows")
-    return den, t_probe
+    return den, t_probe, pump_scale
 
 
-def _drive_coefficient(params: SystemParams, drive: DriveField) -> complex:
+def _drive_coefficient(pump_scale: float, drive: DriveField) -> complex:
     """The pump coefficient c (t_pump = c / den) of one drive."""
     if drive.probe_amp == 0.0:
         raise DomainError("transmission is undefined for probe_amp == 0")
-    return _pump_coefficient(params, drive)
+    return _pump_term(pump_scale, drive.ratio_delta, drive.effective_phase)
 
 
 def trace(params: SystemParams, drive: DriveField, grid: DetuningGrid | None = None) -> SpectrumTrace:
     """Complex reflection t_p over a detuning grid (default +-60 MHz, 1201)."""
-    coefficient = _drive_coefficient(params, drive)
     if grid is None:
         grid = default_grid()
-    den, t_probe = _probe_terms_on(params, grid.values)
-    return SpectrumTrace(grid=grid, t=t_probe + coefficient / den)
+    den, t_probe, pump_scale = _probe_terms_on(params, grid.values)
+    return SpectrumTrace(grid=grid, t=t_probe + _drive_coefficient(pump_scale, drive) / den)
 
 
 class SweepAxis(enum.Enum):
@@ -184,12 +178,6 @@ class SweepMap:
     axis_values: np.ndarray
     grid: DetuningGrid
     traces: tuple[SpectrumTrace, ...]
-
-    def magnitude_matrix(self) -> np.ndarray:
-        return np.stack([t.magnitude for t in self.traces])
-
-    def db_matrix(self) -> np.ndarray:
-        return np.stack([t.db for t in self.traces])
 
 
 def sweep(
@@ -210,7 +198,7 @@ def sweep(
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise DomainError("sweep axis values must be a non-empty 1-d array")
-    den, t_probe = _probe_terms_on(params, grid.values)
+    den, t_probe, pump_scale = _probe_terms_on(params, grid.values)
     traces = []
     for value in values:
         if axis is SweepAxis.PHASE:
@@ -219,7 +207,7 @@ def sweep(
             drive = replace(base_drive, ratio_delta=float(value))
         else:
             raise DomainError(f"unknown sweep axis {axis!r}")
-        coefficient = _drive_coefficient(params, drive)
+        coefficient = _drive_coefficient(pump_scale, drive)
         traces.append(SpectrumTrace(grid=grid, t=t_probe + coefficient / den))
     values = values.copy()
     values.flags.writeable = False
@@ -232,38 +220,6 @@ def baseline_level(spectrum: SpectrumTrace) -> float:
     edge = max(1, round(0.05 * count))
     outer = np.concatenate([spectrum.magnitude[:edge], spectrum.magnitude[-edge:]])
     return float(np.median(outer))
-
-
-def extremum_near_resonance(
-    spectrum: SpectrumTrace, window: float
-) -> tuple[float, float, bool]:
-    """Feature extremum within |detuning| <= window.
-
-    The local background is the chord between the nearest samples outside the
-    window on either side; the extremum is the sample deviating most from it.
-    Returns (detuning, magnitude, is_peak) with is_peak true when the
-    extremum lies above the background.
-    """
-    if not window > 0.0:
-        raise DomainError(f"window must be positive, got {window}")
-    delta = spectrum.grid.values
-    inside = np.abs(delta) <= window
-    left_out = np.nonzero(delta < -window)[0]
-    right_out = np.nonzero(delta > window)[0]
-    if np.count_nonzero(inside) < 3 or left_out.size == 0 or right_out.size == 0:
-        raise DomainError(
-            f"window {window} MHz is not covered by grid "
-            f"[{spectrum.grid.start}, {spectrum.grid.stop}]"
-        )
-    magnitude = spectrum.magnitude
-    x0, x1 = delta[left_out[-1]], delta[right_out[0]]
-    y0, y1 = magnitude[left_out[-1]], magnitude[right_out[0]]
-    chord = y0 + (delta[inside] - x0) * (y1 - y0) / (x1 - x0)
-    deviation = magnitude[inside] - chord
-    pick = int(np.argmax(np.abs(deviation)))
-    indices = np.nonzero(inside)[0]
-    idx = indices[pick]
-    return float(delta[idx]), float(magnitude[idx]), bool(deviation[pick] > 0.0)
 
 
 class RegimeLabel(enum.Enum):

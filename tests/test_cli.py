@@ -501,6 +501,15 @@ class TestOracleCheck:
         assert captured.err.startswith("error: rates from")
         assert "too far apart to integrate" in captured.err
 
+    def test_overcoupled_config_draws_valid_devices(self, tmp_path, capsys):
+        # eta_c = 0.88: the drawn kappa_c1 would often exceed the drawn
+        # kappa_c, so it is clamped there
+        config = _write_config(tmp_path / "over.toml", kappa_c=113.9, kappa_c1=100)
+        code = dispatch(["oracle-check", "--config", config, "--count", "50"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert float(_parse_keyed_lines(captured.out)["max_rel_error"]) <= 1e-8
+
     def test_rejects_nonpositive_count(self, config_path, capsys):
         code = dispatch(
             ["oracle-check", "--config", config_path, "--count", "0"]
@@ -563,12 +572,14 @@ class TestErrorPaths:
         [
             (["delay", "--delta", "1"], 0),
             (["delay", "--delta", "1", "--method", "fd"], 0),
-            (["spectrum"], 1),
-            (["spectrum", "--format", "s1p"], 1),
-            (["map", "--axis", "ratio", "--values", "0,1"], 1),
-            (["map", "--axis", "phase", "--values", "0,1pi"], 1),
-            (["classify"], 1),
-            (["zero", "--phase-eff", "1.35pi"], 1),
+            (["spectrum"], 0),
+            (["spectrum", "--format", "s1p"], 0),
+            (["map", "--axis", "ratio", "--values", "0,1"], 0),
+            (["map", "--axis", "phase", "--values", "0,1pi"], 0),
+            (["classify"], 0),
+            (["zero", "--phase-eff", "1.35pi"], 0),
+            # the draws put magnon_freq within +-5 MHz of the cavity, which
+            # the integrator cannot resolve against 1e-170 MHz decay rates
             (["oracle-check", "--count", "3"], 1),
         ],
         ids=[
@@ -577,17 +588,9 @@ class TestErrorPaths:
         ],
     )
     def test_rates_near_1e_minus_170_print_no_nan(self, tmp_path, capsys, argv, expected):
-        # |den| ~ 1e-340 underflows to 0 here; these commands used to print
-        # nan rows (or MIABS) with exit 0
-        config = _write_config(
-            tmp_path / "tiny.toml",
-            grid_span=1e-169,
-            g=1e-170,
-            kappa_c=1e-169,
-            kappa_m=1e-170,
-            kappa_c1=3e-170,
-            kappa_m1=5e-171,
-        )
+        # the unscaled |den| ~ 1e-340 underflows to 0 here; these commands
+        # once printed nan rows (or MIABS) with exit 0
+        config = _write_config(tmp_path / "tiny.toml", **self.TINY)
         code = dispatch([argv[0], "--config", config, *argv[1:]])
         captured = capsys.readouterr()
         assert code == expected
@@ -598,10 +601,69 @@ class TestErrorPaths:
             assert captured.out == ""
             assert captured.err.startswith(("error:", "no zero-reflection"))
 
+    TINY = dict(
+        grid_span=1e-169, g=1e-170, kappa_c=1e-169, kappa_m=1e-170, kappa_c1=3e-170, kappa_m1=5e-171
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum"],
+            ["map", "--axis", "ratio", "--values", "0,1"],
+            ["map", "--axis", "phase", "--values", "0,1pi"],
+            ["classify", "--delta", "1.2", "--phi", "0.35pi"],
+            ["zero", "--phase-eff", "1.35pi"],
+        ],
+        ids=["spectrum", "map-ratio", "map-phase", "classify", "zero"],
+    )
+    def test_rates_near_1e_minus_170_equal_the_lifted_device(self, tmp_path, capsys, argv):
+        # the same device scaled by 2**560 gives the same numbers, with every
+        # detuning scaled by 2**560 (rows and values match field by field)
+        outputs = []
+        for k in (0, 560):
+            values = {key: math.ldexp(value, k) for key, value in self.TINY.items()}
+            config = _write_config(tmp_path / f"tiny{k}.toml", **values)
+            assert dispatch([argv[0], "--config", config, *argv[1:]]) == 0
+            outputs.append(capsys.readouterr().out)
+        tiny, lifted = (text.replace(" = ", ",").splitlines() for text in outputs)
+        assert len(tiny) == len(lifted) and "nan" not in outputs[0]
+        for line, lifted_line in zip(tiny, lifted):
+            for field, lifted_field in zip(line.split(","), lifted_line.split(",")):
+                if field != lifted_field:
+                    assert math.ldexp(float(field), 560) == float(lifted_field)
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = dispatch(["spectrum", "--config", str(tmp_path / "absent.toml")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def _assert_data_error(self, argv, capsys, *fragments):
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        for fragment in fragments:
+            assert fragment in captured.err
+
+    def test_overflowing_db_sample(self, config_path, tmp_path, capsys):
+        # 10**(7000/20) is not a finite double
+        data = tmp_path / "loud.s1p"
+        data.write_text("# MHZ S DB R 50\n1 -3 0\n2 7000 0\n3 -3 0\n")
+        argv = ["fit", "--config", config_path, "--data", str(data)]
+        self._assert_data_error(argv, capsys, "line 3")
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "latin1.toml"
+        config.write_bytes("[system]\n# caf\u00e9\ng = 7.6\n".encode("latin-1"))
+        self._assert_data_error(["spectrum", "--config", str(config)], capsys, "UTF-8")
+
+    def test_data_file_that_is_not_utf8(self, config_path, tmp_path, capsys):
+        data = tmp_path / "latin1.s1p"
+        data.write_bytes("! caf\u00e9\n# MHZ S RI R 50\n1 0.5 0\n2 0.5 0\n".encode("latin-1"))
+        argv = ["fit", "--config", config_path, "--data", str(data)]
+        self._assert_data_error(argv, capsys, "UTF-8")
 
     def test_unreadable_data_file(self, config_path, tmp_path, capsys):
         code = dispatch(

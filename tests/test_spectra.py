@@ -1,4 +1,4 @@
-"""Grids, traces, sweeps, baseline/extremum helpers, and regime labels.
+"""Grids, traces, sweeps, baseline levels, feature extrema, and regime labels.
 
 Frozen magnitudes (baseline levels, the ideal transparency peak) come from
 the verified closed-form evaluation at the published rates.
@@ -18,7 +18,6 @@ from magpol.model import (
     DriveField,
     SystemParams,
     transmission,
-    transmission_parts,
 )
 from magpol.spectra import (
     MAX_GRID_COUNT,
@@ -30,9 +29,7 @@ from magpol.spectra import (
     baseline_level,
     classify_regime,
     default_grid,
-    extremum_near_resonance,
     sweep,
-    to_db,
     trace,
 )
 
@@ -97,11 +94,13 @@ class TestDetuningGrid:
 
 class TestToDb:
     def test_values(self):
-        assert to_db(1.0) == 0.0
-        assert to_db(10.0) == pytest.approx(20.0)
-        assert to_db(0.01) == pytest.approx(-40.0)
-        assert to_db(0.0) == -math.inf
-        assert to_db(-1.0) == -math.inf
+        grid = DetuningGrid(-1.0, 1.0, 5)
+        db = SpectrumTrace(grid=grid, t=np.array([1.0, 10.0, 0.01j, 0.0, -1.0])).db
+        assert db[0] == 0.0
+        assert db[1] == pytest.approx(20.0)
+        assert db[2] == pytest.approx(-40.0)
+        assert db[3] == -math.inf
+        assert db[4] == 0.0
 
 
 class TestTrace:
@@ -131,17 +130,25 @@ class TestTrace:
         assert spectrum.db[1] == -math.inf
         assert np.isfinite(spectrum.db[2])
 
-    def test_underflowing_denominator_is_a_domain_error(self):
-        # rates and detunings near 1e-170 MHz: den ~ 1e-340 underflows to 0
-        tiny = SystemParams(0.0, 0.0, 1e-170, 1e-169, 1e-170, 3e-170, 5e-171)
+    def test_rates_near_1e_minus_170_equal_the_lifted_device(self):
+        # the unscaled den ~ 1e-340 would underflow to 0; the prescaled core
+        # gives exactly the answers of the same device scaled by 2**560
+        rates = (0.0, 0.0, 1e-170, 1e-169, 1e-170, 3e-170, 5e-171)
+        tiny = SystemParams(*rates)
+        lifted = SystemParams(*(math.ldexp(v, 560) for v in rates))
         grid = DetuningGrid(-1e-169, 1e-169, 11)
+        lifted_grid = DetuningGrid(math.ldexp(-1e-169, 560), math.ldexp(1e-169, 560), 11)
         drive = DriveField(ratio_delta=1.0)
-        with pytest.raises(DomainError, match="underflows"):
-            trace(tiny, drive, grid)
-        with pytest.raises(DomainError, match="underflows"):
-            sweep(tiny, drive, SweepAxis.RATIO, [0.0, 1.0], grid)
-        with pytest.raises(DomainError, match="underflows"):
-            classify_regime(tiny, drive, grid=grid)
+        result = trace(tiny, drive, grid)
+        assert np.all(np.isfinite(result.t))
+        assert np.array_equal(result.t, trace(lifted, drive, lifted_grid).t)
+        swept = sweep(tiny, drive, SweepAxis.RATIO, [0.0, 1.0], grid)
+        lifted_swept = sweep(lifted, drive, SweepAxis.RATIO, [0.0, 1.0], lifted_grid)
+        for entry, expected in zip(swept.traces, lifted_swept.traces):
+            assert np.array_equal(entry.t, expected.t)
+        assert classify_regime(tiny, drive, grid=grid) is classify_regime(
+            lifted, drive, grid=lifted_grid
+        )
 
     def test_magnitude_even_in_detuning_without_pump(self, params, drive_off):
         spectrum = trace(params, drive_off, DetuningGrid(-30.0, 30.0, 301))
@@ -161,8 +168,6 @@ class TestSweep:
         for value, entry in zip(values, result.traces):
             expected = trace(params, replace(base, phase_phi=value), grid)
             np.testing.assert_array_equal(entry.t, expected.t)
-        assert result.magnitude_matrix().shape == (3, 21)
-        assert result.db_matrix().shape == (3, 21)
 
     def test_ratio_axis(self, params):
         grid = DetuningGrid(-5.0, 5.0, 21)
@@ -208,12 +213,14 @@ class TestSweep:
 def test_trace_equals_transmission_pointwise(params, drive):
     grid = DetuningGrid(-60.0, 60.0, 121)
     result = trace(params, drive, grid)
+    probe_only = replace(drive, ratio_delta=0.0)
     for detuning, value in zip(grid.values, result.t):
         probe_freq = params.cavity_freq - detuning
-        t_probe, t_pump = transmission_parts(params, drive, probe_freq)
-        # relative to the summed terms (t_probe = 1 - ...), which may cancel
-        scale = max(1.0, abs(t_probe), abs(t_pump))
-        assert abs(value - (t_probe + t_pump)) <= 1e-12 * scale
+        expected = transmission(params, drive, probe_freq)
+        t_probe = transmission(params, probe_only, probe_freq)
+        # relative to the two pathway terms (t_probe = 1 - ...), which may cancel
+        scale = max(1.0, abs(t_probe), abs(expected - t_probe))
+        assert abs(value - expected) <= 1e-12 * scale
 
 
 class TestBaselineAndExtremum:
@@ -232,30 +239,39 @@ class TestBaselineAndExtremum:
         level = baseline_level(trace(params, drive_off, wide))
         assert level == pytest.approx(0.9966, abs=2e-4)
 
+    @staticmethod
+    def feature(spectrum, window):
+        """(detuning, magnitude, deviation) of the sample inside |detuning| <=
+        window that deviates most from the chord between the window edges."""
+        delta = spectrum.grid.values
+        inside = np.abs(delta) <= window
+        edges = np.flatnonzero(inside)[[0, -1]]
+        x0, x1 = delta[edges]
+        y0, y1 = spectrum.magnitude[edges]
+        deviation = spectrum.magnitude - (y0 + (delta - x0) * (y1 - y0) / (x1 - x0))
+        pick = np.flatnonzero(inside)[np.argmax(np.abs(deviation[inside]))]
+        return delta[pick], spectrum.magnitude[pick], deviation[pick]
+
     def test_transparency_peak_location_and_height(self, params):
         # ideal transparency drive: effective phase 0.35*pi at ratio 1.2
         drive = DriveField(ratio_delta=1.2, phase_phi=1.35 * math.pi)
-        spectrum = trace(params, drive)
-        detuning, magnitude, is_peak = extremum_near_resonance(spectrum, 10.0)
-        assert is_peak
+        detuning, magnitude, deviation = self.feature(trace(params, drive), 10.0)
+        assert deviation > 0.0
         assert abs(detuning) < 0.5
         # the apex sits slightly off center; the on-resonance value is 1.0446
         assert magnitude == pytest.approx(1.0507, abs=2e-4)
 
     def test_absorption_dip_is_not_a_peak(self, params):
         drive = DriveField(ratio_delta=0.75, phase_phi=0.35 * math.pi)
-        spectrum = trace(params, drive)
-        _, magnitude, is_peak = extremum_near_resonance(spectrum, 10.0)
-        assert not is_peak
+        _, magnitude, deviation = self.feature(trace(params, drive), 10.0)
+        assert deviation < 0.0
         # below the bare-cavity center level of 0.617
         assert magnitude < 0.62
 
     def test_window_must_be_inside_grid(self, params, drive_off):
-        spectrum = trace(params, drive_off, DetuningGrid(-2.0, 2.0, 41))
+        narrow = DetuningGrid(-2.0, 2.0, 41)
         with pytest.raises(DomainError, match="window"):
-            extremum_near_resonance(spectrum, 5.0)
-        with pytest.raises(DomainError, match="window"):
-            extremum_near_resonance(spectrum, -1.0)
+            classify_regime(params, drive_off, RegimeThresholds(window=5.0), narrow)
 
 
 class TestClassifyRegime:
