@@ -56,7 +56,6 @@ from .spectra import (
     SpectrumTrace,
     SweepAxis,
     SweepMap,
-    baseline_level,
     classify_regime,
     default_grid,
     sweep,
@@ -94,7 +93,6 @@ __all__ = [
     "TransitionReport",
     "TransitionSign",
     "ZeroReflectionPoint",
-    "baseline_level",
     "classify_coupling",
     "classify_regime",
     "default_grid",

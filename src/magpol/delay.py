@@ -7,21 +7,25 @@ light, negative tau is an advance.  Near a zero of t_p the phase winds
 arbitrarily fast and the delay diverges; samples with |t_p| at or below a
 guard are flagged rather than trusted.
 
-group_delay, delay_at and delay_extremum_vs_ratio share one kernel that
-computes the analytic delay in real arithmetic.  With t_p = num/den,
+group_delay and delay_extremum_vs_ratio share one kernel that computes the
+analytic delay in real arithmetic, and delay_at evaluates the same formula
+at one sample.  With t_p = num/den,
 
     tau = (Im(dden/den) - (Im dnum * Re num - Re dnum * Im num) / |num|^2) / 2pi
 
 where d is d/dDelta_p, and a sample diverges where
-|num|^2 <= ZERO_GUARD^2 * |den|^2.  zc, zm and den come from the model's
-core, model._response_terms, which scales every rate, frequency and
-detuning by an exact power of two that brings the largest below 1; so the
-squares cannot underflow or overflow because of the overall scale of the
-rates, and the delay is exactly homogeneous: scaling every input by 2^k
-divides it by 2^k bit for bit.  den itself never vanishes for a valid device
-(Re den >= kappa_c*kappa_m wherever Im den = 0; see model.py), so the only
-guard is on num; a den that underflows to 0 even after the prescale, which
-takes rates spanning about 300 decades, is a DomainError.
+|num|^2 <= ZERO_GUARD^2 * |den|^2.  The kernel builds that mask only on
+request: group_delay always asks for it, and the ratio scan only when the
+largest |delay| of a ratio falls on a diverged sample.  zc, zm and den come
+from the model's core, model._response_terms, which scales every rate,
+frequency and detuning by an exact power of two that brings the largest
+below 1; so the squares cannot underflow or overflow because of the overall
+scale of the rates, and the delay is exactly homogeneous: scaling every
+input by 2^k divides it by 2^k bit for bit.  den itself never vanishes for
+a valid device (Re den >= kappa_c*kappa_m wherever Im den = 0; see
+model.py), so the only guard is on num; a den that underflows to 0 even
+after the prescale, which takes rates spanning about 300 decades, is a
+DomainError.
 
 Zeros of t_p in the (pump ratio, detuning) plane are found in closed form:
 at fixed effective phase, Im t_p = 0 is linear in the detuning and Re t_p = 0
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import DriveField, SystemParams, _pump_term, _response_terms
+from .model import MAX_MAGNITUDE, DriveField, SystemParams, _pump_term, _response_terms
 from .spectra import DetuningGrid
 
 ZERO_GUARD = 1e-13
@@ -68,9 +72,10 @@ class _DelayKernel:
     Implements the module docstring's formula.  Everything that does not
     depend on the drive (Re and Im of base, Re dnum, q = Im(dden/den) and
     the guard limit ZERO_GUARD^2 * |den|^2) is built once as contiguous
-    float64 arrays; Im dnum is a constant.  So one drive costs twelve
+    float64 arrays; Im dnum is a constant.  So one drive costs eleven
     in-place ufunc calls on preallocated buffers, with no complex division,
-    complex temporary or boolean-index copy.
+    complex temporary or boolean-index copy.  The diverged mask is built
+    only on request, from the last call's |num|^2.
 
     Works in the core's scaled units (near 1e-170 MHz the unscaled |den|
     underflows to 0) and scales the delay back by dividing by
@@ -82,7 +87,6 @@ class _DelayKernel:
         """delta_p is increasing, as the core requires."""
         zc, zm, den, self.pump_scale, exponent = _response_terms(params, delta_p)
         base, slope, dnum_imag, dden_imag = _numerator_terms(params, zc, zm, exponent)
-        self.detunings = zc.imag  # the scaled delta_p
         den_sq = den.real * den.real + den.imag * den.imag
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             self._q = (dden_imag * den.real - slope * den.imag) / den_sq
@@ -98,15 +102,14 @@ class _DelayKernel:
         self._base_im = np.ascontiguousarray(base.imag)
         buffers = np.empty((5, base.size))
         self._num_re, self._num_im, self._num_sq, self._scratch, self._delay = buffers
-        self._diverged = np.empty(base.size, dtype=bool)
 
     def pump(self, ratio: float, phase_eff: float) -> complex:
         """The pump term of num for one drive, in the kernel's scaled units."""
         return _pump_term(self.pump_scale, ratio, phase_eff)
 
-    def __call__(self, pump: complex) -> tuple[np.ndarray, np.ndarray]:
-        """(delay in us, diverged) for num = base + pump; both arrays are
-        buffers that the next call overwrites."""
+    def __call__(self, pump: complex) -> np.ndarray:
+        """The delay in us for num = base + pump, in a buffer that the next
+        call overwrites; diverged samples hold inf or nan."""
         num_re, num_im = self._num_re, self._num_im
         num_sq, scratch, delay = self._num_sq, self._scratch, self._delay
         np.add(self._base_re, pump.real, out=num_re)
@@ -114,7 +117,6 @@ class _DelayKernel:
         np.multiply(num_re, num_re, out=num_sq)
         np.multiply(num_im, num_im, out=scratch)
         np.add(num_sq, scratch, out=num_sq)
-        np.less_equal(num_sq, self._limit, out=self._diverged)
         np.multiply(self._dnum_im, num_re, out=delay)
         np.multiply(self._dnum_re, num_im, out=scratch)
         np.subtract(delay, scratch, out=delay)
@@ -122,7 +124,15 @@ class _DelayKernel:
             np.divide(delay, num_sq, out=delay)  # inf or nan where num is 0
         np.subtract(self._q, delay, out=delay)
         np.divide(delay, self.divisor, out=delay)
-        return delay, self._diverged
+        return delay
+
+    def diverges_at(self, index: int) -> bool:
+        """Whether sample index of the last call is at or below the guard."""
+        return bool(self._num_sq[index] <= self._limit[index])
+
+    def diverged(self) -> np.ndarray:
+        """The last call's diverged mask, |num|^2 <= ZERO_GUARD^2 * |den|^2."""
+        return np.less_equal(self._num_sq, self._limit)
 
 
 @dataclass(frozen=True)
@@ -167,11 +177,20 @@ def group_delay(
         )
     kernel = _DelayKernel(params, grid.values)
     pump = kernel.pump(drive.ratio_delta, drive.effective_phase)
-    delay, diverged = kernel(pump)
+    delay = kernel(pump)
+    diverged = kernel.diverged()
     t = (kernel.base + pump) / kernel.den
     phase = np.unwrap(np.angle(t))
     if method == "finite-difference":
-        delay = -np.gradient(phase, kernel.detunings, edge_order=2) / kernel.divisor
+        if grid.count < 3:
+            raise DomainError(
+                f"the finite-difference delay needs at least 3 grid samples, got {grid.count}"
+            )
+        # differentiate on the grid scaled by a power of two to its own
+        # extent, so np.gradient's spacing products cannot underflow
+        extent = math.frexp(max(-grid.start, grid.stop))[1]
+        slope = np.gradient(phase, np.ldexp(grid.values, -extent), edge_order=2)
+        delay = np.ldexp(-slope / _TWO_PI, -extent)
     if diverged.any():
         sentinel = np.where(np.signbit(delay), -np.inf, np.inf)
         delay = np.where(diverged, sentinel, delay)
@@ -181,15 +200,29 @@ def group_delay(
 
 
 def delay_at(params: SystemParams, drive: DriveField, detuning: float) -> float:
-    """Analytic group delay (us) at a single probe detuning, from the same
-    kernel and guard as group_delay."""
+    """Analytic group delay (us) at a single probe detuning, with the same
+    guard as group_delay and equal to it bit for bit at the same sample.
+
+    The drive-free terms come from the core on a one-sample array: numpy may
+    fuse a complex product's multiply and add, which Python's complex
+    arithmetic does not, so only numpy's products give the kernel's bits.
+    The rest is _DelayKernel's formula on floats, in its operation order.
+    """
     if not math.isfinite(detuning):
         raise DomainError(f"detuning must be finite, got {detuning}")
-    kernel = _DelayKernel(params, np.array([detuning], dtype=float))
-    delay, diverged = kernel(kernel.pump(drive.ratio_delta, drive.effective_phase))
-    if diverged[0]:
+    zc, zm, den, pump_scale, exponent = _response_terms(params, np.array([detuning], dtype=float))
+    base, slope, dnum_imag, dden_imag = _numerator_terms(params, zc, zm, exponent)
+    den, base, slope = complex(den[0]), complex(base[0]), float(slope[0])
+    den_sq = den.real * den.real + den.imag * den.imag
+    q = (dden_imag * den.real - slope * den.imag) / den_sq if den_sq else math.inf
+    if not math.isfinite(q):
+        raise DomainError("group delay is not representable for these rates")
+    num = base + _pump_term(pump_scale, drive.ratio_delta, drive.effective_phase)
+    num_sq = num.real * num.real + num.imag * num.imag
+    if num_sq <= ZERO_GUARD**2 * den_sq:
         raise DomainError(f"delay diverges at detuning {detuning} (|t_p| ~ 0)")
-    return float(delay[0])
+    delay = (dnum_imag * num.real - slope * num.imag) / num_sq
+    return (q - delay) / math.ldexp(_TWO_PI, exponent)
 
 
 @dataclass(frozen=True)
@@ -210,7 +243,7 @@ def find_zero_reflection(
 
     Returns the smallest-ratio root with ratio >= 0, polished by Newton
     iteration on the exact residual, or None when no such root exists (or
-    when it exceeds max_ratio).
+    when it exceeds max_ratio, or the largest double).
     """
     _, _, _, pump_scale, exponent = _response_terms(params, 0.0)
     if pump_scale == 0.0:
@@ -278,7 +311,8 @@ def find_zero_reflection(
         d_detuning = (-num.imag * j00 + num.real * j10) / det
         ratio += d_ratio
         detuning += math.ldexp(d_detuning, exponent)
-    if ratio < 0.0:
+    # a ratio past the largest double (the pump coupling underflows) polishes to nan
+    if not (0.0 <= ratio < math.inf and math.isfinite(detuning)):
         return None
     if max_ratio is not None and ratio > max_ratio:
         return None
@@ -302,21 +336,34 @@ def delay_extremum_vs_ratio(
     sample of largest |delay| that is not diverged is reported with its sign.
     One _DelayKernel serves every ratio, so the drive-free terms are built
     once and the result equals the per-ratio group_delay exactly.
+
+    The diverged mask is built only when the plain argmax of |delay| lands on
+    a diverged sample.  Otherwise that argmax is the answer: a sample that
+    does not diverge has a finite delay, and argmax returns the first
+    maximum (or the first nan, which only a diverged sample can hold), so
+    masking could only lower samples after it.
     """
     ratio_values = np.asarray(ratio_values, dtype=float)
     if ratio_values.ndim != 1 or ratio_values.size == 0:
         raise DomainError("ratio values must be a non-empty 1-d array")
     kernel = _DelayKernel(params, grid.values)
+    # DriveField checks the phase and each ratio; the first bad one raises
+    phase = DriveField.with_effective_phase(float(ratio_values[0]), phase_eff).effective_phase
+    valid = np.isfinite(ratio_values) & (ratio_values >= 0.0) & (ratio_values <= MAX_MAGNITUDE)
+    if not valid.all():
+        DriveField.with_effective_phase(float(ratio_values[np.argmin(valid)]), phase_eff)
     magnitude = np.empty(grid.count)
     out = np.empty(ratio_values.size)
     for i, ratio in enumerate(ratio_values):
-        drive = DriveField.with_effective_phase(float(ratio), phase_eff)
-        delay, diverged = kernel(kernel.pump(drive.ratio_delta, drive.effective_phase))
+        delay = kernel(kernel.pump(float(ratio), phase))
         np.absolute(delay, out=magnitude)
-        np.putmask(magnitude, diverged, -1.0)
         pick = int(np.argmax(magnitude))
-        if diverged[pick]:
-            raise DomainError(f"all samples diverged at ratio {ratio}")
+        if kernel.diverges_at(pick):
+            diverged = kernel.diverged()
+            np.putmask(magnitude, diverged, -1.0)
+            pick = int(np.argmax(magnitude))
+            if diverged[pick]:
+                raise DomainError(f"all samples diverged at ratio {ratio}")
         out[i] = delay[pick]
     return out
 

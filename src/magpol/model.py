@@ -152,9 +152,9 @@ class DriveField:
     calibration offset, both in radians.  Phases are stored as given;
     effective_phase reduces their sum to (-pi, pi] for evaluation.
     probe_amp >= 0; zero is allowed only for the degenerate no-drive case.
-    All four must be finite, and ratio_delta at most MAX_MAGNITUDE, which
-    keeps the pump coefficient 2*g*sqrt(kappa_c1*kappa_m1)*ratio_delta below
-    about 2e150.
+    All four must be finite, and so must the sum of the two phases.
+    ratio_delta must be at most MAX_MAGNITUDE, which keeps the pump
+    coefficient 2*g*sqrt(kappa_c1*kappa_m1)*ratio_delta below about 2e150.
     """
 
     ratio_delta: float
@@ -176,6 +176,11 @@ class DriveField:
             raise DomainError(f"ratio_delta must be >= 0, got {self.ratio_delta}")
         if self.probe_amp < 0.0:
             raise DomainError(f"probe_amp must be >= 0, got {self.probe_amp}")
+        if not math.isfinite(self.phase_phi + self.phase_offset):
+            raise DomainError(
+                f"phase_phi + phase_offset must be finite, got "
+                f"{self.phase_phi} + {self.phase_offset}"
+            )
 
     @property
     def effective_phase(self) -> float:
@@ -202,6 +207,19 @@ class ModeAmplitudes:
     magnon_amp: complex
 
 
+def _scale_exponent(params: SystemParams, *detunings) -> int:
+    """The exponent of _response_terms' prescale: 2^exponent is the smallest
+    power of two above the largest of kappa_c, kappa_m, g, |offset| and the
+    given probe detunings in magnitude."""
+    offset = params.magnon_freq - params.cavity_freq
+    rates = (params.kappa_c, params.kappa_m, params.coupling_g, abs(offset))
+    exponent = math.frexp(max(*rates, *map(abs, detunings)))[1]
+    # keeps 2^-exponent and 2^exponent normal doubles
+    if not -1020 <= exponent <= 1020:
+        raise DomainError("reflection is not representable for these rates")
+    return exponent
+
+
 def _response_terms(params: SystemParams, delta_p, exponent: int | None = None):
     """(zc, zm, den, pump_scale, exponent): the drive-free factors of t_p at
     probe detunings delta_p (a float, or an increasing array), every rate,
@@ -210,18 +228,13 @@ def _response_terms(params: SystemParams, delta_p, exponent: int | None = None):
     zc = i*Delta_p + kappa_c, zm = i*(Delta_p + offset) + kappa_m and
     den = zc*zm + g*g, with offset = magnon_freq - cavity_freq; the pump
     coefficient of a drive is _pump_term(pump_scale, ratio, phase), at the
-    same scale.  With exponent None, 2^exponent is the smallest power of two
-    above the largest of kappa_c, kappa_m, g, |offset| and |delta_p| (at the
+    same scale.  With exponent None it is _scale_exponent at delta_p (at the
     ends of an array).
     """
     offset = params.magnon_freq - params.cavity_freq
     if exponent is None:
         ends = (delta_p[0], delta_p[-1]) if isinstance(delta_p, np.ndarray) else (delta_p,)
-        rates = (params.kappa_c, params.kappa_m, params.coupling_g, abs(offset))
-        exponent = math.frexp(max(*rates, *map(abs, ends)))[1]
-        # keeps 2^-exponent and 2^exponent normal doubles
-        if not -1020 <= exponent <= 1020:
-            raise DomainError("reflection is not representable for these rates")
+        exponent = _scale_exponent(params, *ends)
     scale = math.ldexp(1.0, -exponent)
     if exponent:  # exponent 0 (the fit Jacobian) copies no array
         delta_p = delta_p * scale

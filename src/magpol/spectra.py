@@ -9,7 +9,9 @@ Regime labels follow the usual magnon-induced naming: a narrow peak riding on
 the broad cavity line is transparency (MIT) or amplification (MIAMP)
 depending on whether it clears the far-detuned baseline, a narrow dip below
 the bare-cavity curve is absorption (MIABS), a strongly two-sided feature is
-Fano-like, and a feature too weak to call is Null.
+Fano-like, and a feature too weak to call is Null.  A label evaluates only
+the samples it reads: those in the feature window and the far-detuned
+samples of its baseline (see classify_regime).
 """
 
 from __future__ import annotations
@@ -22,7 +24,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .model import MAX_MAGNITUDE, DriveField, SystemParams, _pump_term, _response_terms
+from .model import (
+    MAX_MAGNITUDE,
+    DriveField,
+    SystemParams,
+    _pump_term,
+    _response_terms,
+    _scale_exponent,
+)
 
 DEFAULT_GRID_SPAN = 60.0
 DEFAULT_GRID_COUNT = 1201
@@ -96,8 +105,13 @@ class DetuningGrid:
         return grid
 
 
+_DEFAULT_GRID = DetuningGrid(-DEFAULT_GRID_SPAN, DEFAULT_GRID_SPAN, DEFAULT_GRID_COUNT)
+
+
 def default_grid() -> DetuningGrid:
-    return DetuningGrid(-DEFAULT_GRID_SPAN, DEFAULT_GRID_SPAN, DEFAULT_GRID_COUNT)
+    """The +-60 MHz, 1201-sample grid; one shared instance, since a grid is
+    frozen and its values are read-only."""
+    return _DEFAULT_GRID
 
 
 @dataclass(frozen=True)
@@ -214,12 +228,15 @@ def sweep(
     return SweepMap(axis=axis, axis_values=values, grid=grid, traces=tuple(traces))
 
 
+def _outer(samples: np.ndarray) -> np.ndarray:
+    """The outer 5% of the samples on each side (at least one per side)."""
+    edge = max(1, round(0.05 * samples.size))
+    return np.concatenate([samples[:edge], samples[-edge:]])
+
+
 def baseline_level(spectrum: SpectrumTrace) -> float:
     """Median magnitude over the outer 10% of the grid (5% per side)."""
-    count = spectrum.grid.count
-    edge = max(1, round(0.05 * count))
-    outer = np.concatenate([spectrum.magnitude[:edge], spectrum.magnitude[-edge:]])
-    return float(np.median(outer))
+    return float(np.median(_outer(spectrum.magnitude)))
 
 
 class RegimeLabel(enum.Enum):
@@ -235,16 +252,18 @@ class RegimeThresholds:
     """Declared constants behind the regime labels.
 
     contrast_floor: smallest max |T - T_bare| (within the feature window)
-        counted as a real feature; below it the label is Null.
+        counted as a real feature; below it the label is Null.  >= 0.
     amp_tol: fractional headroom over the far-detuned baseline separating a
-        transparency peak (MIT) from amplification (MIAMP).
+        transparency peak (MIT) from amplification (MIAMP).  >= 0.
     fano_lobe_ratio: a feature with both a positive and a negative lobe
         against the bare-cavity curve is Fano-like once the smaller lobe
-        exceeds this fraction of the larger one.
-    window: feature window half-width in MHz; None means 6x the narrow
-        feature width kappa_m + g^2/kappa_c.
+        exceeds this fraction of the larger one.  In [0, 1].
+    window: feature window half-width in MHz, finite and > 0; None means 6x
+        the narrow feature width kappa_m + g^2/kappa_c.
     baseline_span_factor: half-span of the internal baseline-estimation grid
-        in units of kappa_c.
+        in units of kappa_c.  > 0.
+
+    Raises DomainError for a value outside these ranges.
     """
 
     contrast_floor: float = 0.05
@@ -252,6 +271,19 @@ class RegimeThresholds:
     fano_lobe_ratio: float = 0.32
     window: float | None = None
     baseline_span_factor: float = 10.0
+
+    def __post_init__(self):
+        for name in ("contrast_floor", "amp_tol"):
+            if not getattr(self, name) >= 0.0:
+                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.fano_lobe_ratio <= 1.0:
+            raise DomainError(f"fano_lobe_ratio must be in [0, 1], got {self.fano_lobe_ratio}")
+        if self.window is not None and not (math.isfinite(self.window) and self.window > 0.0):
+            raise DomainError(f"window must be finite and positive, got {self.window}")
+        if not self.baseline_span_factor > 0.0:
+            raise DomainError(
+                f"baseline_span_factor must be positive, got {self.baseline_span_factor}"
+            )
 
 
 def classify_regime(
@@ -264,7 +296,15 @@ def classify_regime(
 
     The feature is judged against the bare-cavity curve (same params with
     coupling_g = 0, pump off) inside the feature window, and against the
-    far-detuned baseline estimated on a wide internal grid.
+    far-detuned baseline: the median |t_p| over the outer 5% per side of a
+    wide internal grid of DEFAULT_GRID_COUNT samples (as baseline_level on
+    the full trace there).
+
+    Only the samples that decide the label are evaluated: the grid samples
+    with |Delta_p| <= window, for both curves, and, when the positive lobe
+    wins, the 2 x 60 outer samples of the wide grid.  Each is computed at
+    the prescale the core picks for its whole grid, so it has the bits of
+    the full trace; a sample that is not representable raises DomainError.
     """
     if thresholds is None:
         thresholds = RegimeThresholds()
@@ -279,13 +319,20 @@ def classify_regime(
             f"{window:g} MHz feature window"
         )
 
-    bare_params = replace(params, coupling_g=0.0)
-    bare_drive = replace(drive, ratio_delta=0.0)
-    measured = trace(params, drive, grid)
-    bare = trace(bare_params, bare_drive, grid)
+    values = grid.values
+    inside = values[np.searchsorted(values, -window) : np.searchsorted(values, window, "right")]
+    exponent = _scale_exponent(params, values[0], values[-1])
+    zc, zm, den, pump_scale, _ = _response_terms(params, inside, exponent)
+    coupled = 2.0 * math.ldexp(params.kappa_c1, -exponent) * zm
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_probe = 1.0 - coupled / den
+        # with coupling_g = 0 and the pump off, den is zc*zm and t_p is t_probe
+        bare = np.abs(1.0 - coupled / (zc * zm))
+    if not (np.isfinite(t_probe).all() and np.isfinite(bare).all()):
+        raise DomainError("reflection is not representable: the response denominator underflows")
+    measured = np.abs(t_probe + _drive_coefficient(pump_scale, drive) / den)
 
-    inside = np.abs(grid.values) <= window
-    deviation = measured.magnitude[inside] - bare.magnitude[inside]
+    deviation = measured - bare
     positive_lobe = float(np.max(deviation, initial=0.0))
     negative_lobe = float(-np.min(deviation, initial=0.0))
     contrast = max(positive_lobe, negative_lobe)
@@ -298,9 +345,13 @@ def classify_regime(
             max(thresholds.baseline_span_factor * params.kappa_c, grid.stop, -grid.start),
             MAX_MAGNITUDE,
         )
-        wide = DetuningGrid(-half_span, half_span, DEFAULT_GRID_COUNT)
-        baseline = baseline_level(trace(params, drive, wide))
-        peak = float(np.max(measured.magnitude[inside]))
+        # the outer samples include both ends, so the core picks the whole
+        # wide grid's prescale
+        far = _outer(np.linspace(-half_span, half_span, DEFAULT_GRID_COUNT))
+        far_den, far_probe, far_scale = _probe_terms_on(params, far)
+        far_t = far_probe + _drive_coefficient(far_scale, drive) / far_den
+        baseline = float(np.median(np.abs(far_t)))
+        peak = float(np.max(measured))
         if peak <= baseline * (1.0 + thresholds.amp_tol):
             return RegimeLabel.MIT
         return RegimeLabel.MIAMP

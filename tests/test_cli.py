@@ -1,13 +1,18 @@
 """End-to-end command-line checks through dispatch()."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import magpol
 from magpol.cli import dispatch
@@ -671,3 +676,83 @@ class TestErrorPaths:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+# finite values of every kind: moderate, huge, tiny (down to subnormal) and
+# zero, each with either sign
+_MAGNITUDES = st.one_of(
+    st.floats(0.0, 1e3),
+    st.floats(1e40, 1e308),
+    st.floats(5e-324, 1e-150),
+)
+_WILD = st.builds(lambda value, negative: -value if negative else value, _MAGNITUDES, st.booleans())
+_TYPICAL = {
+    ("system", "g"): 7.6,
+    ("system", "kappa_c"): 113.9,
+    ("system", "kappa_m"): 1.2,
+    ("system", "kappa_c1"): 21.8,
+    ("system", "kappa_m1"): 0.6,
+    ("system", "cavity_freq"): 3.0,
+    ("system", "magnon_freq"): -2.0,
+    ("drive", "delta"): 1.2,
+    ("drive", "phi"): 0.35 * math.pi,
+    ("drive", "phi0"): math.pi,
+    ("drive", "probe_amp"): 1.0,
+    ("grid", "start"): -60.0,
+    ("grid", "stop"): 60.0,
+}
+_UNSCALED = {"delta", "phi", "phi0", "probe_amp"}
+
+
+@st.composite
+def config_texts(draw):
+    """A config of the reference device at an overall scale from 1e-300 to
+    1e60, with a few of its values (up to three) replaced by wild ones."""
+    scale = 10.0 ** draw(st.floats(-300.0, 60.0))
+    wild = draw(st.sets(st.sampled_from(sorted(_TYPICAL)), max_size=3))
+    sections = {"system": [], "drive": [], "grid": []}
+    for (section, key), typical in _TYPICAL.items():
+        value = typical if key in _UNSCALED else typical * scale
+        if (section, key) in wild:
+            value = draw(_WILD)
+        sections[section].append(f"{key} = {value!r}")
+    sections["grid"].append(f"count = {draw(st.integers(-1, 40))}")
+    return "\n".join(
+        f"[{name}]\n" + "\n".join(lines) for name, lines in sections.items()
+    ) + "\n"
+
+
+def _values_option(values):
+    return "--values=" + ",".join(repr(value) for value in values)
+
+
+@given(
+    config_texts(),
+    st.lists(st.one_of(st.floats(0.0, 5.0), _WILD), min_size=1, max_size=3),
+    st.lists(st.one_of(st.floats(-7.0, 7.0), _WILD), min_size=1, max_size=3),
+    st.one_of(st.floats(-7.0, 7.0), _WILD),
+)
+@settings(max_examples=40, deadline=None)
+def test_dispatch_property_on_generated_configs(text, ratios, phases, phase_eff):
+    """Exit 0, 1 or 2 and never an exception, on any config; exit 0 prints
+    no nan (the -inf dB sentinel is allowed)."""
+    commands = [
+        ["spectrum"],
+        ["map", "--axis", "ratio", _values_option(ratios)],
+        ["map", "--axis", "phase", _values_option(phases)],
+        ["delay"],
+        ["delay", "--method", "fd"],
+        ["classify"],
+        ["zero", f"--phase-eff={phase_eff!r}"],
+    ]
+    with tempfile.TemporaryDirectory() as directory:
+        config = os.path.join(directory, "device.toml")
+        with open(config, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        for command in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = dispatch([command[0], "--config", config, *command[1:]])
+            assert code in (0, 1, 2), (command, err.getvalue())
+            if code == 0:
+                assert "nan" not in out.getvalue(), (command, text)

@@ -7,6 +7,7 @@ match it, and both module methods must agree on whole traces.
 
 import cmath
 import math
+import re
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from conftest import REFERENCE, valid_drives, valid_params
 from magpol.delay import (
     DelayTrace,
     TransitionSign,
+    _DelayKernel,
     delay_at,
     delay_extremum_vs_ratio,
     detect_abrupt_transition,
@@ -149,6 +151,25 @@ class TestDelayAt:
             delay_at(params, drive, root.detuning)
 
 
+@given(
+    valid_params(),
+    valid_drives(),
+    st.floats(-500.0, 0.0),
+    st.floats(1e-3, 1000.0),
+    st.integers(0, 40),
+)
+@settings(max_examples=100, deadline=None)
+def test_delay_at_equals_group_delay_bit_for_bit(params, drive, start, span, index):
+    grid = DetuningGrid(start, start + span, 41)
+    result = group_delay(params, drive, grid)
+    detuning = float(grid.values[index])
+    if result.diverged[index]:
+        with pytest.raises(DomainError, match="diverges"):
+            delay_at(params, drive, detuning)
+    else:
+        assert delay_at(params, drive, detuning) == result.delay[index]
+
+
 class TestGroupDelay:
     def test_analytic_matches_finite_difference(self, params):
         drive = DriveField(ratio_delta=1.2, phase_phi=0.35 * math.pi)
@@ -159,6 +180,18 @@ class TestGroupDelay:
         keep = ~(analytic.diverged | fd.diverged)
         scale = np.max(np.abs(analytic.delay[keep]))
         assert np.max(np.abs(analytic.delay[keep] - fd.delay[keep])) < 1e-4 * scale
+
+    def test_finite_difference_needs_three_samples(self, params, drive_off):
+        with pytest.raises(DomainError, match="at least 3 grid samples"):
+            group_delay(params, drive_off, DetuningGrid(-1.0, 1.0, 2), method="finite-difference")
+
+    def test_finite_difference_on_a_grid_far_below_the_rates(self, drive_off):
+        # g sets the prescale 1e293 times above the grid span; np.gradient's
+        # spacing products on the prescaled detunings underflowed to 0 (nan)
+        device = SystemParams(3e-295, -2e-295, 1.0, 1.139e-293, 1.2e-295, 2.18e-294, 6e-296)
+        grid = DetuningGrid(-6e-294, 6e-294, 4)
+        fd = group_delay(device, drive_off, grid, method="finite-difference")
+        assert np.all(np.isfinite(fd.delay))
 
     def test_unknown_method_rejected(self, params, drive_off):
         with pytest.raises(DomainError, match="method"):
@@ -234,6 +267,11 @@ class TestFindZeroReflection:
     def test_no_pump_coupling_means_no_root(self):
         uncoupled = SystemParams(0.0, 0.0, 0.0, 113.9, 1.2, 21.8, 0.6)
         assert find_zero_reflection(uncoupled, 1.35 * math.pi) is None
+
+    def test_root_past_the_largest_double_is_none(self):
+        # a subnormal g makes the root's ratio overflow; it once polished to nan
+        device = SystemParams(3.0, -2.0, 2.225073858507203e-309, 113.9, 1.2, 21.8, 0.6)
+        assert find_zero_reflection(device, 0.0) is None
 
     def test_roots_on_random_systems(self, draw_system):
         rng = np.random.default_rng(23)
@@ -347,6 +385,33 @@ class TestExtremumExactness:
             return
         result = delay_extremum_vs_ratio(params, phase_eff, ratios, grid)
         np.testing.assert_array_equal(result, expected)
+
+
+class TestExtremumMask:
+    PHASE = 1.35 * math.pi
+
+    def test_argmax_on_a_diverged_sample_builds_the_mask(self, params):
+        # at the root the unmasked |delay| peaks on the diverged sample, so
+        # the scan must mask and take the argmax again
+        root = find_zero_reflection(params, self.PHASE)
+        grid = DetuningGrid.from_values(root.detuning + 0.05 * np.arange(-40, 41))
+        kernel = _DelayKernel(params, grid.values)
+        drive = DriveField.with_effective_phase(root.ratio_delta, self.PHASE)
+        delay = kernel(kernel.pump(drive.ratio_delta, drive.effective_phase))
+        diverged = kernel.diverged()
+        assert diverged[int(np.argmax(np.abs(delay)))] and not diverged.all()
+        ratios = [root.ratio_delta]
+        result = delay_extremum_vs_ratio(params, self.PHASE, ratios, grid)
+        assert np.array_equal(result, extremum_reference(params, self.PHASE, ratios, grid))
+        assert np.all(np.isfinite(result))
+
+    def test_bad_phase_and_first_bad_ratio_raise_as_per_drive(self, params):
+        grid = DetuningGrid(-10.0, 10.0, 101)
+        for ratios, phase in [([0.5, 2e50, -1.0], self.PHASE), ([0.5, math.inf], math.nan)]:
+            with pytest.raises(DomainError) as expected:
+                extremum_reference(params, phase, ratios, grid)
+            with pytest.raises(DomainError, match=re.escape(str(expected.value))):
+                delay_extremum_vs_ratio(params, phase, ratios, grid)
 
 
 class TestHomogeneity:

@@ -135,6 +135,11 @@ class TestDriveField:
         with pytest.raises(DomainError, match="ratio_delta must be at most"):
             DriveField(ratio_delta=2.0 * MAX_MAGNITUDE)
 
+    def test_overflowing_phase_sum_rejected(self):
+        # each phase is finite, but their sum is not, and it has no remainder
+        with pytest.raises(DomainError, match="phase_phi \\+ phase_offset must be finite"):
+            DriveField(ratio_delta=1.0, phase_phi=1e308, phase_offset=1.5e308)
+
     def test_effective_phase_reduces_to_principal_range(self):
         drive = DriveField(ratio_delta=1.0, phase_phi=0.3)
         assert drive.effective_phase == math.remainder(0.3 + math.pi, math.tau)

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import valid_drives, valid_params
 from magpol.errors import DomainError
@@ -20,6 +21,7 @@ from magpol.model import (
     transmission,
 )
 from magpol.spectra import (
+    DEFAULT_GRID_COUNT,
     MAX_GRID_COUNT,
     DetuningGrid,
     RegimeLabel,
@@ -48,6 +50,11 @@ class TestDetuningGrid:
     def test_default_grid(self):
         grid = default_grid()
         assert (grid.start, grid.stop, grid.count) == (-60.0, 60.0, 1201)
+
+    def test_default_grid_is_one_read_only_instance(self):
+        assert default_grid() is default_grid()
+        with pytest.raises(ValueError):
+            default_grid().values[0] = 7.0
 
     def test_rejects_degenerate(self):
         with pytest.raises(DomainError):
@@ -328,3 +335,126 @@ class TestClassifyRegime:
         narrow = DetuningGrid(-2.0, 2.0, 41)
         thresholds = RegimeThresholds(window=1.5)
         assert classify_regime(params, drive_off, thresholds, narrow) is RegimeLabel.MIT
+
+
+class TestRegimeThresholds:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("window", -1.0),
+            ("window", 0.0),
+            ("window", math.inf),
+            ("window", math.nan),
+            ("contrast_floor", -0.01),
+            ("contrast_floor", math.nan),
+            ("amp_tol", -0.1),
+            ("fano_lobe_ratio", -0.1),
+            ("fano_lobe_ratio", 1.5),
+            ("fano_lobe_ratio", math.nan),
+            ("baseline_span_factor", 0.0),
+            ("baseline_span_factor", -10.0),
+            ("baseline_span_factor", math.nan),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            RegimeThresholds(**{field: value})
+
+    def test_limits_accepted(self):
+        RegimeThresholds(contrast_floor=0.0, amp_tol=0.0, fano_lobe_ratio=0.0, window=1e-3)
+        RegimeThresholds(fano_lobe_ratio=1.0, baseline_span_factor=1e-3)
+
+    def test_negative_window_is_not_a_null_label(self, params):
+        # an empty feature window once gave Null where the default gives MIABS
+        drive = DriveField(ratio_delta=1.2, phase_phi=0.35 * math.pi)
+        assert classify_regime(params, drive) is RegimeLabel.MIABS
+        with pytest.raises(DomainError, match="window"):
+            classify_regime(params, drive, RegimeThresholds(window=-1.0))
+
+
+def classify_regime_reference(params, drive, thresholds=None, grid=None):
+    """The regime label from three full traces (measured, bare cavity and a
+    wide baseline grid): the algorithm classify_regime must reproduce on the
+    samples it reads."""
+    if thresholds is None:
+        thresholds = RegimeThresholds()
+    if grid is None:
+        grid = default_grid()
+    window = thresholds.window
+    if window is None:
+        window = 6.0 * params.feature_width()
+    if grid.start > -window or grid.stop < window:
+        raise DomainError(
+            f"grid [{grid.start}, {grid.stop}] does not span the "
+            f"{window:g} MHz feature window"
+        )
+    measured = trace(params, drive, grid)
+    bare = trace(replace(params, coupling_g=0.0), replace(drive, ratio_delta=0.0), grid)
+    inside = np.abs(grid.values) <= window
+    deviation = measured.magnitude[inside] - bare.magnitude[inside]
+    positive_lobe = float(np.max(deviation, initial=0.0))
+    negative_lobe = float(-np.min(deviation, initial=0.0))
+    contrast = max(positive_lobe, negative_lobe)
+    if contrast < thresholds.contrast_floor:
+        return RegimeLabel.NULL
+    if min(positive_lobe, negative_lobe) > thresholds.fano_lobe_ratio * contrast:
+        return RegimeLabel.FANO
+    if positive_lobe >= negative_lobe:
+        half_span = min(
+            max(thresholds.baseline_span_factor * params.kappa_c, grid.stop, -grid.start),
+            MAX_MAGNITUDE,
+        )
+        wide = DetuningGrid(-half_span, half_span, DEFAULT_GRID_COUNT)
+        baseline = baseline_level(trace(params, drive, wide))
+        peak = float(np.max(measured.magnitude[inside]))
+        if peak <= baseline * (1.0 + thresholds.amp_tol):
+            return RegimeLabel.MIT
+        return RegimeLabel.MIAMP
+    return RegimeLabel.MIABS
+
+
+def _label_or_error(classify, *args):
+    try:
+        return classify(*args)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+@st.composite
+def label_grids(draw, window):
+    """Grids around a feature window: up to 2**8 times wider on either side
+    (so their ends often set another prescale than the window's samples) or
+    slightly narrower than the window, with 1 to 120 samples across it but
+    at most 4001 in all, built directly or from values."""
+    start = -window * 2.0 ** draw(st.floats(-0.15, 8.0))
+    stop = window * 2.0 ** draw(st.floats(-0.15, 8.0))
+    step = 2.0 * window / draw(st.integers(1, 120))
+    count = min(math.ceil((stop - start) / step) + 1, 4001)
+    if draw(st.booleans()):
+        return DetuningGrid(start, stop, count)
+    step = (stop - start) / (count - 1)
+    return DetuningGrid.from_values(start + step * np.arange(count))
+
+
+class TestClassifyRegimeReference:
+    @given(valid_params(), valid_drives(), st.one_of(st.none(), st.floats(0.05, 50.0)), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_property_label_equals_reference(self, params, drive, window, data):
+        grid = data.draw(label_grids(window or 6.0 * params.feature_width()))
+        inner = grid.values[np.abs(grid.values) <= min(-grid.start, grid.stop)]
+        if window is not None and np.any(inner) and data.draw(st.booleans()):
+            # a window edge on a grid sample, which the window includes
+            window = abs(float(data.draw(st.sampled_from(inner[inner != 0.0].tolist()))))
+        args = (params, drive, RegimeThresholds(window=window), grid)
+        assert _label_or_error(classify_regime, *args) == _label_or_error(
+            classify_regime_reference, *args
+        )
+
+    def test_window_edges_on_grid_samples_are_inside(self, params):
+        # the window holds only its two edge samples, whose lobes have
+        # opposite signs: with both the label is Fano, with one it is not
+        grid = DetuningGrid(-6.0, 6.0, 4)
+        assert grid.values.tolist() == [-6.0, -2.0, 2.0, 6.0]
+        drive = DriveField(ratio_delta=1.5, phase_phi=0.25 * math.pi)
+        args = (params, drive, RegimeThresholds(window=2.0), grid)
+        assert classify_regime(*args) is classify_regime_reference(*args) is RegimeLabel.FANO
