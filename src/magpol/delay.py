@@ -7,9 +7,8 @@ light, negative tau is an advance.  Near a zero of t_p the phase winds
 arbitrarily fast and the delay diverges; samples with |t_p| at or below a
 guard are flagged rather than trusted.
 
-group_delay and delay_extremum_vs_ratio share one kernel that computes the
-analytic delay in real arithmetic, and delay_at evaluates the same formula
-at one sample.  With t_p = num/den,
+group_delay, delay_at and delay_extremum_vs_ratio share one kernel that
+computes the analytic delay in real arithmetic.  With t_p = num/den,
 
     tau = (Im(dden/den) - (Im dnum * Re num - Re dnum * Im num) / |num|^2) / 2pi
 
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import MAX_MAGNITUDE, DriveField, SystemParams, _pump_term, _response_terms
+from .model import DriveField, SystemParams, _pump_term, _response_terms
 from .spectra import DetuningGrid
 
 ZERO_GUARD = 1e-13
@@ -200,29 +199,15 @@ def group_delay(
 
 
 def delay_at(params: SystemParams, drive: DriveField, detuning: float) -> float:
-    """Analytic group delay (us) at a single probe detuning, with the same
-    guard as group_delay and equal to it bit for bit at the same sample.
-
-    The drive-free terms come from the core on a one-sample array: numpy may
-    fuse a complex product's multiply and add, which Python's complex
-    arithmetic does not, so only numpy's products give the kernel's bits.
-    The rest is _DelayKernel's formula on floats, in its operation order.
-    """
+    """Analytic group delay (us) at a single probe detuning, from the same
+    kernel and guard as group_delay."""
     if not math.isfinite(detuning):
         raise DomainError(f"detuning must be finite, got {detuning}")
-    zc, zm, den, pump_scale, exponent = _response_terms(params, np.array([detuning], dtype=float))
-    base, slope, dnum_imag, dden_imag = _numerator_terms(params, zc, zm, exponent)
-    den, base, slope = complex(den[0]), complex(base[0]), float(slope[0])
-    den_sq = den.real * den.real + den.imag * den.imag
-    q = (dden_imag * den.real - slope * den.imag) / den_sq if den_sq else math.inf
-    if not math.isfinite(q):
-        raise DomainError("group delay is not representable for these rates")
-    num = base + _pump_term(pump_scale, drive.ratio_delta, drive.effective_phase)
-    num_sq = num.real * num.real + num.imag * num.imag
-    if num_sq <= ZERO_GUARD**2 * den_sq:
+    kernel = _DelayKernel(params, np.array([detuning], dtype=float))
+    delay = kernel(kernel.pump(drive.ratio_delta, drive.effective_phase))
+    if kernel.diverges_at(0):
         raise DomainError(f"delay diverges at detuning {detuning} (|t_p| ~ 0)")
-    delay = (dnum_imag * num.real - slope * num.imag) / num_sq
-    return (q - delay) / math.ldexp(_TWO_PI, exponent)
+    return float(delay[0])
 
 
 @dataclass(frozen=True)
@@ -347,15 +332,12 @@ def delay_extremum_vs_ratio(
     if ratio_values.ndim != 1 or ratio_values.size == 0:
         raise DomainError("ratio values must be a non-empty 1-d array")
     kernel = _DelayKernel(params, grid.values)
-    # DriveField checks the phase and each ratio; the first bad one raises
-    phase = DriveField.with_effective_phase(float(ratio_values[0]), phase_eff).effective_phase
-    valid = np.isfinite(ratio_values) & (ratio_values >= 0.0) & (ratio_values <= MAX_MAGNITUDE)
-    if not valid.all():
-        DriveField.with_effective_phase(float(ratio_values[np.argmin(valid)]), phase_eff)
+    # DriveField checks the phase and every ratio before any is scanned
+    drives = [DriveField.with_effective_phase(float(ratio), phase_eff) for ratio in ratio_values]
     magnitude = np.empty(grid.count)
     out = np.empty(ratio_values.size)
-    for i, ratio in enumerate(ratio_values):
-        delay = kernel(kernel.pump(float(ratio), phase))
+    for i, drive in enumerate(drives):
+        delay = kernel(kernel.pump(drive.ratio_delta, drive.effective_phase))
         np.absolute(delay, out=magnitude)
         pick = int(np.argmax(magnitude))
         if kernel.diverges_at(pick):
@@ -363,7 +345,7 @@ def delay_extremum_vs_ratio(
             np.putmask(magnitude, diverged, -1.0)
             pick = int(np.argmax(magnitude))
             if diverged[pick]:
-                raise DomainError(f"all samples diverged at ratio {ratio}")
+                raise DomainError(f"all samples diverged at ratio {drive.ratio_delta}")
         out[i] = delay[pick]
     return out
 

@@ -207,12 +207,14 @@ class ModeAmplitudes:
     magnon_amp: complex
 
 
-def _scale_exponent(params: SystemParams, *detunings) -> int:
+def _scale_exponent(params: SystemParams, *detunings, coupled: bool = True) -> int:
     """The exponent of _response_terms' prescale: 2^exponent is the smallest
     power of two above the largest of kappa_c, kappa_m, g, |offset| and the
-    given probe detunings in magnitude."""
+    given probe detunings in magnitude.  coupled=False takes g as 0, as for
+    the bare cavity."""
     offset = params.magnon_freq - params.cavity_freq
-    rates = (params.kappa_c, params.kappa_m, params.coupling_g, abs(offset))
+    g = params.coupling_g if coupled else 0.0
+    rates = (params.kappa_c, params.kappa_m, g, abs(offset))
     exponent = math.frexp(max(*rates, *map(abs, detunings)))[1]
     # keeps 2^-exponent and 2^exponent normal doubles
     if not -1020 <= exponent <= 1020:

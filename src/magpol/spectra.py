@@ -157,11 +157,17 @@ def _probe_terms_on(params: SystemParams, detunings: np.ndarray):
     fails only where den underflows (rates spanning about 300 decades).
     """
     _, zm, den, pump_scale, exponent = _response_terms(params, detunings)
+    return den, _probe_reflection(params, zm, den, exponent), pump_scale
+
+
+def _probe_reflection(params: SystemParams, zm, den, exponent: int) -> np.ndarray:
+    """t_probe = 1 - 2*kappa_c1*zm/den from the core's zm and den at this
+    exponent; DomainError unless it is finite on every sample."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_probe = 1.0 - 2.0 * math.ldexp(params.kappa_c1, -exponent) * zm / den
     if not np.isfinite(t_probe).all():
         raise DomainError("reflection is not representable: the response denominator underflows")
-    return den, t_probe, pump_scale
+    return t_probe
 
 
 def _drive_coefficient(pump_scale: float, drive: DriveField) -> complex:
@@ -302,9 +308,10 @@ def classify_regime(
 
     Only the samples that decide the label are evaluated: the grid samples
     with |Delta_p| <= window, for both curves, and, when the positive lobe
-    wins, the 2 x 60 outer samples of the wide grid.  Each is computed at
-    the prescale the core picks for its whole grid, so it has the bits of
-    the full trace; a sample that is not representable raises DomainError.
+    wins, the 2 x 60 outer samples of the wide grid.  Each curve is computed
+    at the prescale the core picks for its whole grid (without g for the
+    bare cavity), so every sample has the bits of the full trace; a sample
+    that is not representable raises DomainError.
     """
     if thresholds is None:
         thresholds = RegimeThresholds()
@@ -321,16 +328,17 @@ def classify_regime(
 
     values = grid.values
     inside = values[np.searchsorted(values, -window) : np.searchsorted(values, window, "right")]
+    # each curve at the prescale the core picks for the whole grid
     exponent = _scale_exponent(params, values[0], values[-1])
     zc, zm, den, pump_scale, _ = _response_terms(params, inside, exponent)
-    coupled = 2.0 * math.ldexp(params.kappa_c1, -exponent) * zm
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_probe = 1.0 - coupled / den
-        # with coupling_g = 0 and the pump off, den is zc*zm and t_p is t_probe
-        bare = np.abs(1.0 - coupled / (zc * zm))
-    if not (np.isfinite(t_probe).all() and np.isfinite(bare).all()):
-        raise DomainError("reflection is not representable: the response denominator underflows")
+    t_probe = _probe_reflection(params, zm, den, exponent)
     measured = np.abs(t_probe + _drive_coefficient(pump_scale, drive) / den)
+    # the bare cavity (coupling_g = 0, pump off) has den = zc*zm and t_p =
+    # t_probe; zc and zm do not depend on g, but its prescale leaves g out
+    bare_exponent = _scale_exponent(params, values[0], values[-1], coupled=False)
+    if bare_exponent != exponent:
+        zc, zm = _response_terms(params, inside, bare_exponent)[:2]
+    bare = np.abs(_probe_reflection(params, zm, zc * zm, bare_exponent))
 
     deviation = measured - bare
     positive_lobe = float(np.max(deviation, initial=0.0))

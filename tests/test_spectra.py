@@ -458,3 +458,14 @@ class TestClassifyRegimeReference:
         drive = DriveField(ratio_delta=1.5, phase_phi=0.25 * math.pi)
         args = (params, drive, RegimeThresholds(window=2.0), grid)
         assert classify_regime(*args) is classify_regime_reference(*args) is RegimeLabel.FANO
+
+    def test_bare_curve_keeps_the_prescale_that_leaves_g_out(self):
+        # g sets the coupled device's prescale, 2**28 above the grid's; at
+        # that prescale zc*zm at zero detuning is subnormal and its quotient
+        # overflows, while at the bare cavity's own prescale it is normal
+        device = SystemParams(0.0, 0.0, 1e10, 1e-150, 1e-150, 1e-150, 1e-150)
+        for drive in (DriveField(1.2, 0.35 * math.pi), DriveField(0.0)):
+            args = (device, drive, RegimeThresholds(window=1.0), default_grid())
+            expected = classify_regime_reference(*args)
+            assert isinstance(expected, RegimeLabel)
+            assert classify_regime(*args) is expected
