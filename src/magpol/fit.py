@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .model import DriveField, SystemParams, _pump_term, _response_terms
+from .model import MAX_MAGNITUDE, DriveField, SystemParams, _pump_term, _response_terms
 from .spectra import DetuningGrid, _drive_coefficient, _probe_terms_on, trace
 
 _SYSTEM_FIELDS = (
@@ -94,7 +94,9 @@ class FitObservation:
     """One measured trace with the drive it was taken under.
 
     values holds the complex response when has_phase is True, otherwise the
-    non-negative magnitude.
+    non-negative magnitude.  Every sample must be finite and at most
+    MAX_MAGNITUDE in magnitude, the cap on rates and grid bounds, so the
+    residual's squares stay finite.
     """
 
     grid: DetuningGrid
@@ -109,6 +111,11 @@ class FitObservation:
             raise DomainError("observation length does not match grid")
         if not np.all(np.isfinite(values)):
             raise DomainError("observation contains non-finite samples")
+        largest = float(np.max(np.abs(values), initial=0.0))
+        if largest > MAX_MAGNITUDE:
+            raise DomainError(
+                f"observation samples must be at most {MAX_MAGNITUDE:g} in magnitude, got {largest}"
+            )
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -405,7 +412,8 @@ def _levenberg_marquardt(problem: FitProblem, initial: SystemParams, x, lower):
             except np.linalg.LinAlgError:
                 step = np.full(x.size, np.nan)
             trial = _trial_residual(problem, initial, x + step, lower)
-            small_step = np.linalg.norm(step) < _TOLERANCE * (_TOLERANCE + x_norm)
+            with np.errstate(over="ignore"):  # a step norm past the largest double is inf
+                small_step = np.linalg.norm(step) < _TOLERANCE * (_TOLERANCE + x_norm)
             if trial is not None:
                 trial_cost = 0.5 * float(trial[1] @ trial[1])
                 if trial_cost < cost:

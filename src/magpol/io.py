@@ -147,12 +147,15 @@ def _read_touchstone(
             samples.append(_decode_sample(layout, a, b))
         except OverflowError:  # a DB magnitude above about 6165 dB
             raise TraceParseError(f"sample overflows in {line!r}", line=lineno) from None
+        except ValueError:  # math.cos of an infinite MA or DB angle
+            raise TraceParseError(f"infinite angle in {line!r}", line=lineno) from None
     if unit is None:
         raise TraceParseError("missing option line")
     if not freqs:
         raise TraceParseError("no data lines")
     scale = _UNIT_TO_MHZ[unit]
-    detunings = cavity_freq - np.asarray(freqs) * scale
+    with np.errstate(over="ignore"):  # DetuningGrid.from_values rejects inf
+        detunings = cavity_freq - np.asarray(freqs) * scale
     t = np.asarray(samples, dtype=complex)
     try:
         grid = DetuningGrid.from_values(detunings[::-1])

@@ -86,12 +86,17 @@ class DetuningGrid:
     def from_values(cls, values) -> "DetuningGrid":
         """Grid wrapping explicit sample positions (kept verbatim).
 
-        The samples must be strictly increasing and uniform to relative
+        The samples must be finite and at most MAX_MAGNITUDE in magnitude,
+        like start and stop, and strictly increasing and uniform to relative
         tolerance 1e-9 of the spacing.
         """
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or values.size < 2:
             raise DomainError("grid values must be a 1-d array of length >= 2")
+        if not np.all(np.abs(values) <= MAX_MAGNITUDE):  # nan fails too
+            raise DomainError(
+                f"grid values must be finite and at most {MAX_MAGNITUDE:g} in magnitude"
+            )
         steps = np.diff(values)
         if np.any(steps <= 0.0):
             raise DomainError("grid values must be strictly increasing")
@@ -311,7 +316,8 @@ def classify_regime(
     wins, the 2 x 60 outer samples of the wide grid.  Each curve is computed
     at the prescale the core picks for its whole grid (without g for the
     bare cavity), so every sample has the bits of the full trace; a sample
-    that is not representable raises DomainError.
+    that is not representable raises DomainError, and so does a grid with
+    no sample inside the window.
     """
     if thresholds is None:
         thresholds = RegimeThresholds()
@@ -328,6 +334,11 @@ def classify_regime(
 
     values = grid.values
     inside = values[np.searchsorted(values, -window) : np.searchsorted(values, window, "right")]
+    if inside.size == 0:
+        raise DomainError(
+            f"grid [{grid.start}, {grid.stop}] with {grid.count} samples has none "
+            f"inside the {window:g} MHz feature window"
+        )
     # each curve at the prescale the core picks for the whole grid
     exponent = _scale_exponent(params, values[0], values[-1])
     zc, zm, den, pump_scale, _ = _response_terms(params, inside, exponent)

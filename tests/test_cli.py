@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import magpol
@@ -471,6 +472,16 @@ class TestFit:
         assert captured.out == ""
         assert "kappa_m" in captured.err and "floor" in captured.err
 
+    def test_step_whose_norm_overflows(self, config_path, tmp_path, capsys):
+        # data 1e40 MHz off resonance: the first trial steps have norms past
+        # the largest double, and np.linalg.norm once warned of the overflow
+        path = tmp_path / "far.csv"
+        path.write_text("detuning_mhz,re,im,magnitude,db\n1e40,0,0,0,0\n2e40,0,1e40,0,0\n")
+        assert dispatch(["fit", "--config", config_path, "--data", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "converged = false" in captured.out and "nan" not in captured.out
+        assert captured.err == "fit did not meet the convergence criterion\n"
+
 
 class TestOracleCheck:
     def test_small_batch_passes(self, config_path, capsys):
@@ -659,6 +670,30 @@ class TestErrorPaths:
         argv = ["fit", "--config", config_path, "--data", str(data)]
         self._assert_data_error(argv, capsys, "line 3")
 
+    def test_sample_whose_square_overflows(self, config_path, tmp_path, capsys):
+        # once converged = true with residual_norm = inf, and exit 0
+        data = tmp_path / "huge.s1p"
+        data.write_text("# HZ S MA R 50\n1 1e308 0\n2 1e308 0\n3 1e308 0\n")
+        argv = ["fit", "--config", config_path, "--data", str(data)]
+        self._assert_data_error(argv, capsys, "at most 1e+50 in magnitude")
+
+    @pytest.mark.parametrize(
+        "text,fragment",
+        [
+            # math.cos(inf) raised ValueError, a traceback
+            ("# MHZ S MA R 50\n1 0.5 0\n2 0.5 inf\n", "line 3"),
+            # the grid's step inf - inf warned before the grid was rejected
+            ("detuning_mhz,re,im,magnitude,db\n-inf,1,0,1,0\n0,1,0,1,0\n", "grid values must be finite"),
+            ("# GHZ S RI R 50\n1 1 0\n1e306 1 0\n", "grid values must be finite"),
+        ],
+        ids=["infinite-angle", "infinite-detuning", "overflowing-frequency"],
+    )
+    def test_non_finite_axis_or_angle(self, config_path, tmp_path, capsys, text, fragment):
+        data = tmp_path / "trace.s1p"
+        data.write_text(text)
+        argv = ["fit", "--config", config_path, "--data", str(data)]
+        self._assert_data_error(argv, capsys, fragment)
+
     def test_config_that_is_not_utf8(self, tmp_path, capsys):
         config = tmp_path / "latin1.toml"
         config.write_bytes("[system]\n# caf\u00e9\ng = 7.6\n".encode("latin-1"))
@@ -756,3 +791,78 @@ def test_dispatch_property_on_generated_configs(text, ratios, phases, phase_eff)
             assert code in (0, 1, 2), (command, err.getvalue())
             if code == 0:
                 assert "nan" not in out.getvalue(), (command, text)
+
+
+# number tokens of every kind the trace parsers take: moderate, huge, tiny
+# and subnormal values of either sign, non-finite ones, and literals past
+# the double range
+_TOKENS = st.one_of(
+    st.floats(-2.0, 2.0).map(repr),
+    _WILD.map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "0", "-0.0"]),
+)
+
+
+@st.composite
+def _number(draw, moderate):
+    """Mostly a value from the moderate strategy, one time in eight any token."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(_TOKENS)
+    return repr(draw(moderate))
+
+
+@st.composite
+def trace_files(draw):
+    """The bytes of a generated trace file: csv or s1p in the RI, MA or DB
+    layout with 1 to 3 rows and optional drive metadata, sometimes not
+    UTF-8.  The axis is uniform and the samples share one scale of any
+    size, but each number may be any token instead, so that whole sets of
+    files often reach the fit."""
+    rows = draw(st.integers(1, 3))
+    start = draw(_number(st.floats(-1e3, 1e3)))
+    step = draw(_number(st.floats(1e-3, 1e3)))
+    axis = [repr(float(start) + k * float(step)) for k in range(rows)]
+    scale = draw(_MAGNITUDES)
+    sample = _number(st.floats(-2.0, 2.0).map(lambda value: value * scale))
+    layout = draw(st.sampled_from(["csv", "RI", "MA", "DB"]))
+    if layout == "csv":
+        lines = ["detuning_mhz,re,im,magnitude,db"]
+        lines += [",".join([x] + [draw(sample) for _ in range(4)]) for x in axis]
+    else:
+        unit = draw(st.sampled_from(["HZ", "KHZ", "MHZ", "GHZ"]))
+        keys = draw(st.sets(st.sampled_from(["delta", "phi", "phi0"])))
+        lines = [f"! {key} = {draw(_number(st.floats(0.0, 5.0)))}" for key in sorted(keys)]
+        lines.append(f"# {unit} S {layout} R 50")
+        lines += [f"{x} {draw(sample)} {draw(sample)}" for x in axis]
+    text = "\n".join(lines) + "\n"
+    encoding = draw(st.sampled_from(["utf-8"] * 6 + ["latin-1", "binary"]))
+    if encoding == "latin-1":  # a comment that latin-1 writes as one byte, not UTF-8
+        return ("! caf\u00e9\n" + text).encode("latin-1")
+    if encoding == "binary":
+        return draw(st.binary(min_size=1, max_size=60))
+    return text.encode("utf-8")
+
+
+@given(st.lists(trace_files(), min_size=1, max_size=3))
+@example([b"# HZ S MA R 50\n1 1e308 0\n2 1e308 0\n3 1e308 0\n"])
+@settings(max_examples=50, deadline=None)
+def test_dispatch_property_on_generated_trace_files(files):
+    """fit on any trace files exits 0, 1 or 2 and never raises; exit 0
+    prints no nan and a finite residual norm.  The example's squares
+    overflow: it once printed converged = true and residual_norm = inf."""
+    with tempfile.TemporaryDirectory() as directory:
+        config = _write_config(pathlib.Path(directory) / "device.toml")
+        argv = ["fit", "--config", config]
+        for i, data in enumerate(files):
+            path = os.path.join(directory, f"trace{i}")
+            with open(path, "wb") as handle:
+                handle.write(data)
+            argv += ["--data", path]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch(argv)
+    assert code in (0, 1, 2), (files, err.getvalue())
+    if code == 0:
+        report = _parse_keyed_lines(out.getvalue())
+        assert "nan" not in out.getvalue(), files
+        assert math.isfinite(float(report["residual_norm"])), files

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import REFERENCE, valid_drives, valid_params
 from magpol.delay import (
+    _BLOCK_SAMPLES,
     DelayTrace,
     TransitionSign,
     _DelayKernel,
@@ -412,6 +413,51 @@ class TestExtremumMask:
                 extremum_reference(params, phase, ratios, grid)
             with pytest.raises(DomainError, match=re.escape(str(expected.value))):
                 delay_extremum_vs_ratio(params, phase, ratios, grid)
+
+
+class TestExtremumBlocks:
+    """The scan takes the ratios in blocks of about _BLOCK_SAMPLES samples;
+    every block edge keeps the per-ratio reference's bits."""
+
+    PHASE = 1.35 * math.pi
+
+    @given(
+        valid_params(),
+        st.floats(-math.pi, math.pi),
+        # (grid count, most ratios): every ratio in one block, 8 ratios per
+        # block with a partial last block, and one ratio per block
+        st.sampled_from([(2, 12), (201, 12), (4001, 20), (_BLOCK_SAMPLES + 1, 3)]),
+        st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_property_blocks_equal_reference(self, params, phase_eff, sizes, data):
+        count, most = sizes
+        ratios = data.draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=most))
+        grid = DetuningGrid(-10.0, 10.0, count)
+        try:
+            expected = extremum_reference(params, phase_eff, ratios, grid)
+        except DomainError:
+            with pytest.raises(DomainError):
+                delay_extremum_vs_ratio(params, phase_eff, ratios, grid)
+            return
+        np.testing.assert_array_equal(delay_extremum_vs_ratio(params, phase_eff, ratios, grid), expected)
+
+    def test_diverged_picks_inside_blocks(self, params):
+        # a 4001-sample grid holding the root's detuning takes 8 ratios per
+        # block; the root ratio sits twice inside the first block and once
+        # inside the partial second one, and its unmasked argmax is the
+        # diverged sample
+        root = find_zero_reflection(params, self.PHASE)
+        grid = DetuningGrid.from_values(root.detuning + 0.005 * np.arange(-2000, 2001))
+        assert _BLOCK_SAMPLES // grid.count == 8
+        kernel = _DelayKernel(params, grid.values)
+        delay = kernel(kernel.pump(root.ratio_delta, self.PHASE))
+        assert kernel.diverged()[int(np.argmax(np.abs(delay)))]
+        ratios = np.linspace(0.0, 4.0, 13)
+        ratios[[3, 5, 10]] = root.ratio_delta
+        result = delay_extremum_vs_ratio(params, self.PHASE, ratios, grid)
+        assert np.array_equal(result, extremum_reference(params, self.PHASE, ratios, grid))
+        assert np.all(np.isfinite(result))
 
 
 class TestHomogeneity:

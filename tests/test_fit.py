@@ -127,6 +127,18 @@ class TestFitProblemValidation:
                 grid=GRID, values=np.ones(7, complex), drive=DriveField(ratio_delta=0.0)
             )
 
+    @pytest.mark.parametrize(
+        "has_phase,value", [(True, 1.5e308 + 1.5e308j), (True, 1e50j + 1e49), (False, 2e50)]
+    )
+    def test_observation_magnitude_is_capped(self, has_phase, value):
+        # the cap of rates and grid bounds, so the residual's squares stay finite
+        values = np.full(GRID.count, 1e50, complex if has_phase else float)
+        drive = DriveField(ratio_delta=0.0)
+        FitObservation(grid=GRID, values=values, drive=drive, has_phase=has_phase)
+        values[3] = value
+        with pytest.raises(DomainError, match="at most 1e\\+50 in magnitude"):
+            FitObservation(grid=GRID, values=values, drive=drive, has_phase=has_phase)
+
 
     def test_start_below_the_fit_floor(self, params):
         # a valid device, but below the 1e-9 floor the fit keeps rates on

@@ -94,6 +94,13 @@ class TestDetuningGrid:
         with pytest.raises(DomainError, match="uniform"):
             DetuningGrid.from_values([0.0, 1.0, 2.5])
 
+    @pytest.mark.parametrize(
+        "values", [[-math.inf, 0.0], [0.0, math.nan, 2.0], [-1e308, 1e308], [0.0, 2e50]]
+    )
+    def test_from_values_rejects_non_finite_and_capped_values(self, values):
+        with pytest.raises(DomainError, match="finite and at most"):
+            DetuningGrid.from_values(values)
+
     def test_from_values_rejects_decreasing(self):
         with pytest.raises(DomainError, match="increasing"):
             DetuningGrid.from_values([0.0, 1.0, 0.5])
@@ -331,6 +338,17 @@ class TestClassifyRegime:
         with pytest.raises(DomainError, match="window"):
             classify_regime(params, drive_off, grid=narrow)
 
+    @pytest.mark.parametrize("thresholds", [None, RegimeThresholds(contrast_floor=0.0)])
+    def test_grid_with_no_sample_in_the_window_is_rejected(self, params, thresholds):
+        # two samples span the window from outside it: once a Null label from
+        # no evidence, and with a zero floor numpy's zero-size ValueError
+        drive = DriveField(1.2, 1.1)
+        fine = DetuningGrid(-100.0, 100.0, 1201)
+        assert classify_regime(params, drive, thresholds, fine) is RegimeLabel.MIABS
+        message = r"grid \[-100.0, 100.0\] with 2 samples has none inside the .* window"
+        with pytest.raises(DomainError, match=message):
+            classify_regime(params, drive, thresholds, DetuningGrid(-100.0, 100.0, 2))
+
     def test_explicit_window_override(self, params, drive_off):
         narrow = DetuningGrid(-2.0, 2.0, 41)
         thresholds = RegimeThresholds(window=1.5)
@@ -388,9 +406,14 @@ def classify_regime_reference(params, drive, thresholds=None, grid=None):
             f"grid [{grid.start}, {grid.stop}] does not span the "
             f"{window:g} MHz feature window"
         )
+    inside = np.abs(grid.values) <= window
+    if not np.any(inside):
+        raise DomainError(
+            f"grid [{grid.start}, {grid.stop}] with {grid.count} samples has none "
+            f"inside the {window:g} MHz feature window"
+        )
     measured = trace(params, drive, grid)
     bare = trace(replace(params, coupling_g=0.0), replace(drive, ratio_delta=0.0), grid)
-    inside = np.abs(grid.values) <= window
     deviation = measured.magnitude[inside] - bare.magnitude[inside]
     positive_lobe = float(np.max(deviation, initial=0.0))
     negative_lobe = float(-np.min(deviation, initial=0.0))
