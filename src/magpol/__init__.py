@@ -40,11 +40,9 @@ from .fit import (
 )
 from .io import TraceFile, TraceFormat, read_trace, write_trace
 from .model import (
-    CouplingRegime,
     DriveField,
     ModeAmplitudes,
     SystemParams,
-    classify_coupling,
     output_field,
     transmission,
 )
@@ -67,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BackgroundModel",
     "ConfigError",
-    "CouplingRegime",
     "DelayTrace",
     "DetuningGrid",
     "DomainError",
@@ -93,7 +90,6 @@ __all__ = [
     "TransitionReport",
     "TransitionSign",
     "ZeroReflectionPoint",
-    "classify_coupling",
     "classify_regime",
     "default_grid",
     "delay_at",

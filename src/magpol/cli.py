@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -21,10 +20,21 @@ from . import fit as fit_mod
 from . import io as io_mod
 from . import oracle as oracle_mod
 from . import spectra
-from .config import RunConfig, load_config, parse_phase
+from .config import (
+    _OVERRIDE_KEYS,
+    RunConfig,
+    _drive_metadata,
+    _override_drive,
+    _parse_value,
+    load_config,
+    parse_phase,
+)
 from .errors import MagpolError
 from .io import _format_number as _fmt
 from .model import DriveField, SystemParams, transmission
+
+# The most samples a map renders: as many as the largest grid's spectrum.
+_MAX_MAP_SAMPLES = spectra.MAX_GRID_COUNT
 
 
 def _phase_arg(text: str) -> float:
@@ -152,15 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_drive_overrides(config: RunConfig, args: argparse.Namespace) -> DriveField:
-    drive = config.drive
-    if getattr(args, "delta", None) is not None:
-        drive = replace(drive, ratio_delta=args.delta)
-    if getattr(args, "phi", None) is not None:
-        drive = replace(drive, phase_phi=args.phi)
-    if getattr(args, "phi0", None) is not None:
-        drive = replace(drive, phase_offset=args.phi0)
-    return drive
+def _drive(config: RunConfig, args: argparse.Namespace) -> DriveField:
+    """The config's drive with the --delta/--phi/--phi0 given on the command line."""
+    overrides = {
+        key: value for key in _OVERRIDE_KEYS if (value := getattr(args, key)) is not None
+    }
+    return _override_drive(config.drive, overrides)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -172,14 +179,10 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
-    drive = _apply_drive_overrides(config, args)
+    drive = _drive(config, args)
     trace = spectra.trace(config.system, drive, config.grid)
     if args.format == "s1p":
-        metadata = {
-            "delta": _fmt(drive.ratio_delta),
-            "phi": _fmt(drive.phase_phi),
-            "phi0": _fmt(drive.phase_offset),
-        }
+        metadata = {key: _fmt(value) for key, value in _drive_metadata(drive).items()}
         text = io_mod.render_touchstone(
             trace, cavity_freq=config.system.cavity_freq, metadata=metadata
         )
@@ -190,16 +193,19 @@ def _cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_map(config: RunConfig, args: argparse.Namespace) -> int:
-    drive = _apply_drive_overrides(config, args)
+    drive = _drive(config, args)
     axis = spectra.SweepAxis(args.axis)
     tokens = [token for token in args.values.split(",") if token.strip()]
     if not tokens:
         raise MagpolError("no sweep values given")
+    if len(tokens) * config.grid.count > _MAX_MAP_SAMPLES:
+        raise MagpolError(
+            f"a map of {len(tokens)} values on {config.grid.count} samples exceeds "
+            f"{_MAX_MAP_SAMPLES} samples"
+        )
+    key = "phi" if axis is spectra.SweepAxis.PHASE else "delta"
     try:
-        if axis is spectra.SweepAxis.PHASE:
-            values = [parse_phase(token) for token in tokens]
-        else:
-            values = [float(token) for token in tokens]
+        values = [_parse_value(key, token) for token in tokens]
     except ValueError as exc:
         raise MagpolError(f"invalid sweep value: {exc}") from exc
     sweep = spectra.sweep(config.system, drive, axis, values, config.grid)
@@ -214,7 +220,7 @@ def _cmd_map(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_delay(config: RunConfig, args: argparse.Namespace) -> int:
-    drive = _apply_drive_overrides(config, args)
+    drive = _drive(config, args)
     method = "analytic" if args.method == "analytic" else "finite-difference"
     trace = delay_mod.group_delay(config.system, drive, config.grid, method=method)
     lines = ["detuning_mhz,delay_us,magnitude"]
@@ -239,7 +245,7 @@ def _cmd_zero(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(config: RunConfig, args: argparse.Namespace) -> int:
-    drive = _apply_drive_overrides(config, args)
+    drive = _drive(config, args)
     label = spectra.classify_regime(config.system, drive, grid=config.grid)
     sys.stdout.write(label.value + "\n")
     return 0
@@ -249,17 +255,12 @@ def _observation_from_file(
     path: str, config: RunConfig
 ) -> fit_mod.FitObservation:
     info, trace = io_mod.read_trace(path, cavity_freq=config.system.cavity_freq)
-    drive = config.drive
     meta = info.metadata
     try:
-        if "delta" in meta:
-            drive = replace(drive, ratio_delta=float(meta["delta"]))
-        if "phi" in meta:
-            drive = replace(drive, phase_phi=parse_phase(meta["phi"]))
-        if "phi0" in meta:
-            drive = replace(drive, phase_offset=parse_phase(meta["phi0"]))
+        overrides = {key: _parse_value(key, meta[key]) for key in _OVERRIDE_KEYS if key in meta}
     except ValueError as exc:
         raise MagpolError(f"bad drive metadata in {path}: {exc}") from exc
+    drive = _override_drive(config.drive, overrides)
     return fit_mod.FitObservation(grid=trace.grid, values=trace.t, drive=drive)
 
 
@@ -285,11 +286,16 @@ def _cmd_fit(config: RunConfig, args: argparse.Namespace) -> int:
 def _cmd_oracle_check(config: RunConfig, args: argparse.Namespace) -> int:
     if args.count < 1:
         raise MagpolError("count must be at least 1")
+    system = config.system
+    # The magnon offset is drawn in +-5 MHz for a device whose largest rate
+    # lies in [64, 128) MHz, like the example's kappa_c = 113.9; any other
+    # device scales that draw by the power of two that takes its largest
+    # rate there, so the draws scale with the config exactly.
+    shift = math.frexp(max(system.coupling_g, system.kappa_c, system.kappa_m))[1] - 7
     rng = np.random.default_rng(args.seed)
     errors = []
     for _ in range(args.count):
-        system = config.system
-        magnon_freq = rng.uniform(-5.0, 5.0)
+        magnon_freq = math.ldexp(rng.uniform(-5.0, 5.0), shift)
         coupling_g = system.coupling_g * rng.uniform(0.5, 2.0)
         kappa_c = system.kappa_c * rng.uniform(0.5, 2.0)
         kappa_m = system.kappa_m * rng.uniform(0.5, 2.0)

@@ -28,11 +28,11 @@ entirely, giving delta = 0, phi = 0, phi0 = pi, probe_amp = 1 and a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .errors import ConfigError, DomainError
 from .model import DriveField, SystemParams
-from .spectra import DetuningGrid
+from .spectra import DEFAULT_GRID_COUNT, DEFAULT_GRID_SPAN, DetuningGrid
 
 _SYSTEM_KEYS = {
     "g": "coupling_g",
@@ -44,14 +44,21 @@ _SYSTEM_KEYS = {
     "magnon_freq": "magnon_freq",
 }
 _REQUIRED_SYSTEM_KEYS = ("g", "kappa_c", "kappa_m", "kappa_c1", "kappa_m1")
+# The one map from drive keys to DriveField fields.  delta, phi and phi0 are
+# also the command-line overrides and the s1p drive metadata.
 _DRIVE_KEYS = {
     "delta": "ratio_delta",
     "phi": "phase_phi",
     "phi0": "phase_offset",
     "probe_amp": "probe_amp",
 }
+_OVERRIDE_KEYS = ("delta", "phi", "phi0")
 _GRID_KEYS = {"start": "start", "stop": "stop", "count": "count"}
 _PHASE_KEYS = ("phi", "phi0")
+# [drive] defaults: DriveField's own, and delta = 0 (the pump off)
+_DRIVE_DEFAULTS = {
+    item.name: item.default for item in fields(DriveField) if item.default is not MISSING
+}
 
 
 @dataclass(frozen=True)
@@ -83,6 +90,23 @@ def parse_phase(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"phase must be finite, got {text!r}")
     return value
+
+
+def _parse_value(key: str, text: str) -> float:
+    """The value of a config, override or metadata key given as text:
+    parse_phase for a phase, float otherwise.  ValueError when malformed."""
+    return parse_phase(text) if key in _PHASE_KEYS else float(text)
+
+
+def _override_drive(drive: DriveField, overrides: dict[str, float]) -> DriveField:
+    """drive with the values of the given _OVERRIDE_KEYS, set in one
+    replace, so only the final drive is validated."""
+    return replace(drive, **{_DRIVE_KEYS[key]: value for key, value in overrides.items()})
+
+
+def _drive_metadata(drive: DriveField) -> dict[str, float]:
+    """The drive's values under _OVERRIDE_KEYS, as s1p metadata carries them."""
+    return {key: getattr(drive, _DRIVE_KEYS[key]) for key in _OVERRIDE_KEYS}
 
 
 def _parse_document(text: str) -> dict[str, dict[str, tuple[str, int]]]:
@@ -128,9 +152,7 @@ def _float_entry(entries, key: str, default: float | None = None) -> float:
         return default
     raw, lineno = entries[key]
     try:
-        if key in _PHASE_KEYS:
-            return parse_phase(raw)
-        return float(raw)
+        return _parse_value(key, raw)
     except ValueError:
         raise ConfigError(f"invalid number {raw!r}", key=key, line=lineno) from None
 
@@ -174,14 +196,12 @@ def parse_config(text: str) -> RunConfig:
     system = _build(SystemParams, system_entries, _SYSTEM_KEYS, system_values)
 
     drive_values = {
-        "ratio_delta": _float_entry(drive_entries, "delta", 0.0),
-        "phase_phi": _float_entry(drive_entries, "phi", 0.0),
-        "phase_offset": _float_entry(drive_entries, "phi0", math.pi),
-        "probe_amp": _float_entry(drive_entries, "probe_amp", 1.0),
+        field: _float_entry(drive_entries, key, _DRIVE_DEFAULTS.get(field, 0.0))
+        for key, field in _DRIVE_KEYS.items()
     }
     drive = _build(DriveField, drive_entries, _DRIVE_KEYS, drive_values)
 
-    count = 1201
+    count = DEFAULT_GRID_COUNT
     if "count" in grid_entries:
         raw, lineno = grid_entries["count"]
         try:
@@ -189,8 +209,8 @@ def parse_config(text: str) -> RunConfig:
         except ValueError:
             raise ConfigError(f"invalid integer {raw!r}", key="count", line=lineno) from None
     grid_values = {
-        "start": _float_entry(grid_entries, "start", -60.0),
-        "stop": _float_entry(grid_entries, "stop", 60.0),
+        "start": _float_entry(grid_entries, "start", -DEFAULT_GRID_SPAN),
+        "stop": _float_entry(grid_entries, "stop", DEFAULT_GRID_SPAN),
         "count": count,
     }
     grid = _build(DetuningGrid, grid_entries, _GRID_KEYS, grid_values)

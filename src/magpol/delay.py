@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import DriveField, SystemParams, _pump_term, _response_terms
+from .model import DriveField, SystemParams, _drive_coefficient, _pump_term, _response_terms
 from .spectra import DetuningGrid
 
 ZERO_GUARD = 1e-13
@@ -123,10 +123,6 @@ class _DelayKernel:
         self._base_im = np.ascontiguousarray(base.imag)
         self._buffers = tuple(np.empty((4, rows, base.size)))
 
-    def pump(self, ratio: float, phase_eff: float) -> complex:
-        """The pump term of num for one drive, in the kernel's scaled units."""
-        return _pump_term(self.pump_scale, ratio, phase_eff)
-
     def __call__(self, pump) -> np.ndarray:
         """The delay in us for num = base + pump, in a buffer that the next
         call overwrites; diverged samples hold inf or nan.  A complex pump
@@ -175,12 +171,11 @@ class DelayTrace:
 
     grid: DetuningGrid
     t: np.ndarray
-    unwrapped_phase: np.ndarray
     delay: np.ndarray
     diverged: np.ndarray
 
     def __post_init__(self):
-        for name in ("t", "unwrapped_phase", "delay", "diverged"):
+        for name in ("t", "delay", "diverged"):
             arr = getattr(self, name)
             if arr.shape != (self.grid.count,):
                 raise DomainError(f"{name} length does not match grid")
@@ -206,11 +201,10 @@ def group_delay(
             f"unknown delay method {method!r}; use 'analytic' or 'finite-difference'"
         )
     kernel = _DelayKernel(params, grid.values)
-    pump = kernel.pump(drive.ratio_delta, drive.effective_phase)
+    pump = _drive_coefficient(kernel.pump_scale, drive)
     delay = kernel(pump)
     diverged = kernel.diverged()
     t = (kernel.base + pump) / kernel.den
-    phase = np.unwrap(np.angle(t))
     if method == "finite-difference":
         if grid.count < 3:
             raise DomainError(
@@ -219,14 +213,13 @@ def group_delay(
         # differentiate on the grid scaled by a power of two to its own
         # extent, so np.gradient's spacing products cannot underflow
         extent = math.frexp(max(-grid.start, grid.stop))[1]
+        phase = np.unwrap(np.angle(t))
         slope = np.gradient(phase, np.ldexp(grid.values, -extent), edge_order=2)
         delay = np.ldexp(-slope / _TWO_PI, -extent)
     if diverged.any():
         sentinel = np.where(np.signbit(delay), -np.inf, np.inf)
         delay = np.where(diverged, sentinel, delay)
-    return DelayTrace(
-        grid=grid, t=t, unwrapped_phase=phase, delay=delay, diverged=diverged
-    )
+    return DelayTrace(grid=grid, t=t, delay=delay, diverged=diverged)
 
 
 def delay_at(params: SystemParams, drive: DriveField, detuning: float) -> float:
@@ -235,7 +228,7 @@ def delay_at(params: SystemParams, drive: DriveField, detuning: float) -> float:
     if not math.isfinite(detuning):
         raise DomainError(f"detuning must be finite, got {detuning}")
     kernel = _DelayKernel(params, np.array([detuning], dtype=float))
-    delay = kernel(kernel.pump(drive.ratio_delta, drive.effective_phase))
+    delay = kernel(_drive_coefficient(kernel.pump_scale, drive))
     if kernel.diverges_at(0):
         raise DomainError(f"delay diverges at detuning {detuning} (|t_p| ~ 0)")
     return float(delay[0])
@@ -380,7 +373,9 @@ def delay_extremum_vs_ratio(
             DriveField.with_effective_phase(float(ratio), phase_eff)
         raise
     phase = drives[0].effective_phase
-    pumps = np.array([kernel.pump(ratio, phase) for ratio in ratio_values.tolist()])
+    pumps = np.array(
+        [_pump_term(kernel.pump_scale, ratio, phase) for ratio in ratio_values.tolist()]
+    )
     magnitude = np.empty((rows, grid.count))
     index = np.arange(rows)
     out = np.empty(ratio_values.size)

@@ -39,8 +39,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .model import MAX_MAGNITUDE, DriveField, SystemParams, _pump_term, _response_terms
-from .spectra import DetuningGrid, _drive_coefficient, _probe_terms_on, trace
+from .model import MAX_MAGNITUDE, DriveField, SystemParams, _drive_coefficient, _response_terms
+from .spectra import DetuningGrid, _probe_terms_on, trace
 
 _SYSTEM_FIELDS = (
     "coupling_g",
@@ -301,8 +301,7 @@ def _response_partials(name, params, drive, c, zc, zm):
     if name == "coupling_g":
         # c is linear in g, so dc/dg is c at unit coupling
         unit_scale = 2.0 * math.sqrt(kappa_c1 * params.kappa_m1)
-        unit = _pump_term(unit_scale, drive.ratio_delta, drive.effective_phase)
-        return unit, 2.0 * params.coupling_g
+        return _drive_coefficient(unit_scale, drive), 2.0 * params.coupling_g
     if name == "kappa_c":
         return 0.0, zm
     if name == "kappa_m":

@@ -39,7 +39,6 @@ representable") instead of returning a non-finite number.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass, field, fields
 
@@ -47,7 +46,6 @@ import numpy as np
 
 from .errors import DomainError
 
-ETA_CRITICAL_TOL = 1e-12
 # Largest magnitude (MHz) of a SystemParams field or a DetuningGrid bound.
 # The response, the zero-reflection quadratic and the fit Jacobian multiply
 # at most four such magnitudes, with coefficients below 250; at this cap even
@@ -56,36 +54,14 @@ ETA_CRITICAL_TOL = 1e-12
 MAX_MAGNITUDE = 1e50
 
 
-class CouplingRegime(enum.Enum):
-    OVERCOUPLED = "overcoupled"
-    CRITICAL = "critical"
-    UNDERCOUPLED = "undercoupled"
-
-
-def classify_coupling(eta: float) -> CouplingRegime:
-    """Classify a port coupling ratio eta = kappa_ext / kappa_total.
-
-    eta must lie in (0, 1].  Critical coupling is declared within an absolute
-    tolerance of 1e-12 around 1/2.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise DomainError(f"coupling ratio must be in (0, 1], got {eta}")
-    if abs(eta - 0.5) <= ETA_CRITICAL_TOL:
-        return CouplingRegime.CRITICAL
-    if eta > 0.5:
-        return CouplingRegime.OVERCOUPLED
-    return CouplingRegime.UNDERCOUPLED
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Static device parameters, all in MHz.
 
     cavity_freq / magnon_freq are the bare mode frequencies; either may be 0
     when working purely in detuning space.  kappa_c1 (kappa_m1) is the
-    external portion of kappa_c (kappa_m), so eta_c = kappa_c1/kappa_c must
-    not exceed 1.  All seven must be finite and at most MAX_MAGNITUDE in
-    magnitude.
+    external portion of kappa_c (kappa_m) and may not exceed it.  All seven
+    must be finite and at most MAX_MAGNITUDE in magnitude.
     """
 
     cavity_freq: float
@@ -119,22 +95,6 @@ class SystemParams:
             raise DomainError(
                 f"kappa_m1 ({self.kappa_m1}) cannot exceed kappa_m ({self.kappa_m})"
             )
-
-    @property
-    def eta_c(self) -> float:
-        return self.kappa_c1 / self.kappa_c
-
-    @property
-    def eta_m(self) -> float:
-        return self.kappa_m1 / self.kappa_m
-
-    @property
-    def cavity_regime(self) -> CouplingRegime:
-        return classify_coupling(self.eta_c)
-
-    @property
-    def magnon_regime(self) -> CouplingRegime:
-        return classify_coupling(self.eta_m)
 
     def feature_width(self) -> float:
         """Width scale (MHz) of the narrow magnon-like feature,
@@ -254,6 +214,15 @@ def _pump_term(pump_scale: float, ratio: float, phase_eff: float) -> complex:
     return 1j * pump * complex(math.cos(phase_eff), -math.sin(phase_eff))
 
 
+def _drive_coefficient(pump_scale: float, drive: DriveField) -> complex:
+    """The pump coefficient c (t_pump = c / den) of one drive; every
+    drive-level response path takes it from here.  t_p is normalized to the
+    probe, so it is undefined without one: DomainError for probe_amp == 0."""
+    if drive.probe_amp == 0.0:
+        raise DomainError("transmission is undefined for probe_amp == 0")
+    return _pump_term(pump_scale, drive.ratio_delta, drive.effective_phase)
+
+
 def output_field(params: SystemParams, cavity_amp: complex, probe_amp: float) -> complex:
     """Reflected probe field for a given intracavity amplitude."""
     return probe_amp - math.sqrt(2.0 * params.kappa_c1) * cavity_amp
@@ -265,14 +234,12 @@ def transmission(params: SystemParams, drive: DriveField, probe_freq: float) -> 
     Raises DomainError where t_p is not representable, which takes rates
     that span about 300 decades.
     """
-    if drive.probe_amp == 0.0:
-        raise DomainError("transmission is undefined for probe_amp == 0")
     zc, zm, den, pump_scale, exponent = _response_terms(
         params, params.cavity_freq - probe_freq
     )
+    pump = _drive_coefficient(pump_scale, drive)
     t = math.nan  # den underflows to 0 only across about 300 decades of rates
     if den != 0.0:
-        pump = _pump_term(pump_scale, drive.ratio_delta, drive.effective_phase)
         t = 1.0 - 2.0 * math.ldexp(params.kappa_c1, -exponent) * zm / den + pump / den
     if not cmath.isfinite(t):
         raise DomainError("reflection is not representable for these rates")

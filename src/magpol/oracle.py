@@ -168,7 +168,7 @@ def integrate_to_steady(
     if not settled:
         raise IntegrationTimeout(
             f"no steady state within {max_time:g} us "
-            f"({steps} steps, last relative change {change:.3e})",
+            f"({steps:g} steps, last relative change {change:.3e})",
             last_change=change,
         )
     scale = math.sqrt(_TWO_PI)

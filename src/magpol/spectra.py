@@ -28,7 +28,7 @@ from .model import (
     MAX_MAGNITUDE,
     DriveField,
     SystemParams,
-    _pump_term,
+    _drive_coefficient,
     _response_terms,
     _scale_exponent,
 )
@@ -156,7 +156,7 @@ class SpectrumTrace:
 def _probe_terms_on(params: SystemParams, detunings: np.ndarray):
     """(den, t_probe, pump_scale) on increasing probe detunings, shared by
     every drive; den and pump_scale are in model._response_terms' scaled
-    units, so t_p = t_probe + _drive_coefficient(pump_scale, drive) / den.
+    units, so t_p = t_probe + model._drive_coefficient(pump_scale, drive) / den.
 
     Raises DomainError unless t_probe is finite on the whole grid, which
     fails only where den underflows (rates spanning about 300 decades).
@@ -173,13 +173,6 @@ def _probe_reflection(params: SystemParams, zm, den, exponent: int) -> np.ndarra
     if not np.isfinite(t_probe).all():
         raise DomainError("reflection is not representable: the response denominator underflows")
     return t_probe
-
-
-def _drive_coefficient(pump_scale: float, drive: DriveField) -> complex:
-    """The pump coefficient c (t_pump = c / den) of one drive."""
-    if drive.probe_amp == 0.0:
-        raise DomainError("transmission is undefined for probe_amp == 0")
-    return _pump_term(pump_scale, drive.ratio_delta, drive.effective_phase)
 
 
 def trace(params: SystemParams, drive: DriveField, grid: DetuningGrid | None = None) -> SpectrumTrace:

@@ -16,11 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import magpol
+from magpol import cli
 from magpol.cli import dispatch
 from magpol.io import TraceFormat, read_trace, write_trace
 from magpol import oracle
 from magpol.model import MAX_MAGNITUDE, DriveField, SystemParams
-from magpol.spectra import DetuningGrid, trace
+from magpol.spectra import MAX_GRID_COUNT, DetuningGrid, trace
 
 TRUTH = SystemParams(
     cavity_freq=0.0,
@@ -389,6 +390,23 @@ class TestMap:
         assert code == 1
         assert "no sweep values" in capsys.readouterr().err
 
+    def test_total_samples_are_bounded(self, tmp_path, capsys):
+        # two values on the largest grid: refused before any trace is built
+        config = _write_config(tmp_path / "wide.toml", grid_count=MAX_GRID_COUNT)
+        code = dispatch(["map", "--config", config, "--axis", "ratio", "--values", "0,1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "exceeds" in captured.err
+
+    def test_bound_is_on_values_times_samples(self, config_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_MAP_SAMPLES", 2 * 1201)
+        argv = ["map", "--config", config_path, "--axis", "ratio", "--values"]
+        assert dispatch([*argv, "0,1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 1201
+        assert dispatch([*argv, "0,1,2"]) == 1
+        assert capsys.readouterr().out == ""
+
 
 class TestFit:
     def test_joint_fit_recovers_truth_from_files(self, tmp_path, capsys):
@@ -484,6 +502,23 @@ class TestFit:
 
 
 class TestOracleCheck:
+    RATES = {"g": 7.6, "kappa_c": 113.9, "kappa_m": 1.2, "kappa_c1": 21.8, "kappa_m1": 0.6}
+
+    @pytest.mark.parametrize("k", [-600, -560, -200, -60, -30, -10, 40, 150])
+    def test_stdout_is_scale_free(self, tmp_path, capsys, k):
+        # every draw scales with the config's rates by 2**k exactly; k = -30
+        # once exceeded the tolerance and k = -200 timed out
+        outputs = []
+        for power in (0, k):
+            rates = {key: math.ldexp(value, power) for key, value in self.RATES.items()}
+            config = _write_config(
+                tmp_path / f"scaled{power}.toml", grid_span=math.ldexp(60.0, power), **rates
+            )
+            code = dispatch(["oracle-check", "--config", config])
+            outputs.append(capsys.readouterr().out)
+            assert code == 0
+        assert outputs[1] == outputs[0]
+
     def test_small_batch_passes(self, config_path, capsys):
         code = dispatch(
             ["oracle-check", "--config", config_path, "--count", "3", "--seed", "2"]
@@ -532,6 +567,49 @@ class TestOracleCheck:
         )
         assert code == 1
         assert "count" in capsys.readouterr().err
+
+
+class TestDriveOverrides:
+    """Overrides from the command line and from s1p metadata apply as one
+    change, so only the final drive is checked."""
+
+    @staticmethod
+    def _with_drive(path, **drive):
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("[drive]\n" + "".join(f"{k} = {v}\n" for k, v in drive.items()))
+        return path
+
+    def test_command_line_overrides_are_checked_as_the_final_drive(self, tmp_path, capsys):
+        # phi0 = 1e308 with --phi 1e308 alone would overflow the phase sum;
+        # with --phi0=-1e308 as well, the effective phase is 0
+        config = self._with_drive(_write_config(tmp_path / "offset.toml"), phi0="1e308")
+        argv = ["classify", "--config", config, "--delta", "1.2"]
+        assert dispatch([*argv, "--phi", "1e308", "--phi0=-1e308"]) == 0
+        label = capsys.readouterr().out
+        assert dispatch([*argv, "--phi", "0", "--phi0", "0"]) == 0
+        assert capsys.readouterr().out == label
+
+    def test_metadata_overrides_are_checked_as_the_final_drive(self, tmp_path, capsys):
+        config = self._with_drive(_write_config(tmp_path / "offset.toml"), phi0="1e308")
+        sample = trace(TRUTH, DriveField.with_effective_phase(1.2, 0.0), DetuningGrid(-60.0, 60.0, 121))
+        outputs = []
+        for name, phi, phi0 in (("cancel", "1e308", "-1e308"), ("zero", "0", "0")):
+            path = tmp_path / f"{name}.s1p"
+            metadata = {"delta": "1.2", "phi": phi, "phi0": phi0}
+            write_trace(sample, path, format=TraceFormat.TOUCHSTONE_S1P, metadata=metadata)
+            assert dispatch(["fit", "--config", config, "--data", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert _parse_keyed_lines(outputs[0])["converged"] == "true"
+
+    @pytest.mark.parametrize("method", ["analytic", "fd"])
+    def test_delay_without_probe_exits_1(self, tmp_path, capsys, method):
+        config = self._with_drive(_write_config(tmp_path / "dark.toml"), probe_amp="0")
+        code = dispatch(["delay", "--config", config, "--delta", "1", "--method", method])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "transmission is undefined for probe_amp == 0" in captured.err
 
 
 class TestErrorPaths:
@@ -594,9 +672,8 @@ class TestErrorPaths:
             (["map", "--axis", "phase", "--values", "0,1pi"], 0),
             (["classify"], 0),
             (["zero", "--phase-eff", "1.35pi"], 0),
-            # the draws put magnon_freq within +-5 MHz of the cavity, which
-            # the integrator cannot resolve against 1e-170 MHz decay rates
-            (["oracle-check", "--count", "3"], 1),
+            # the magnon offset is drawn at the config's own scale
+            (["oracle-check", "--count", "3"], 0),
         ],
         ids=[
             "delay", "delay-fd", "spectrum", "s1p", "map-ratio", "map-phase", "classify", "zero",
@@ -766,20 +843,25 @@ def _values_option(values):
     st.lists(st.one_of(st.floats(0.0, 5.0), _WILD), min_size=1, max_size=3),
     st.lists(st.one_of(st.floats(-7.0, 7.0), _WILD), min_size=1, max_size=3),
     st.one_of(st.floats(-7.0, 7.0), _WILD),
+    st.dictionaries(st.sampled_from(["delta", "phi", "phi0"]), _WILD),
 )
 @settings(max_examples=40, deadline=None)
-def test_dispatch_property_on_generated_configs(text, ratios, phases, phase_eff):
-    """Exit 0, 1 or 2 and never an exception, on any config; exit 0 prints
-    no nan (the -inf dB sentinel is allowed)."""
+def test_dispatch_property_on_generated_configs(text, ratios, phases, phase_eff, overrides):
+    """Exit 0, 1 or 2 and never an exception, on any config and drive
+    overrides; exit 0 prints no nan (the -inf dB sentinel is allowed).
+    Every drive-level command guards the same drive: when delay or classify
+    exits 0, so does spectrum."""
+    drive = [f"--{key}={value!r}" for key, value in overrides.items()]
     commands = [
-        ["spectrum"],
+        ["spectrum", *drive],
         ["map", "--axis", "ratio", _values_option(ratios)],
         ["map", "--axis", "phase", _values_option(phases)],
-        ["delay"],
-        ["delay", "--method", "fd"],
-        ["classify"],
+        ["delay", *drive],
+        ["delay", "--method", "fd", *drive],
+        ["classify", *drive],
         ["zero", f"--phase-eff={phase_eff!r}"],
     ]
+    codes = []
     with tempfile.TemporaryDirectory() as directory:
         config = os.path.join(directory, "device.toml")
         with open(config, "w", encoding="utf-8") as handle:
@@ -791,6 +873,9 @@ def test_dispatch_property_on_generated_configs(text, ratios, phases, phase_eff)
             assert code in (0, 1, 2), (command, err.getvalue())
             if code == 0:
                 assert "nan" not in out.getvalue(), (command, text)
+            codes.append(code)
+    if 0 in codes[3:6]:  # delay, delay fd or classify
+        assert codes[0] == 0, (text, drive)  # spectrum
 
 
 # number tokens of every kind the trace parsers take: moderate, huge, tiny

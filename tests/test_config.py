@@ -92,8 +92,9 @@ class TestParseConfig:
 
     def test_example_config_describes_undercoupled_cavity(self):
         run = load_config("configs/example_device.toml")
-        assert run.system.eta_c == pytest.approx(0.1914, abs=5e-4)
-        assert run.system.eta_m == pytest.approx(0.5)
+        system = run.system
+        assert system.kappa_c1 / system.kappa_c == pytest.approx(0.1914, abs=5e-4)
+        assert system.kappa_m1 / system.kappa_m == pytest.approx(0.5)
 
     def test_comment_and_blank_tolerance(self):
         run = parse_config(

@@ -1,4 +1,4 @@
-"""Closed-form model: validation, coupling regimes, frozen resonance values,
+"""Closed-form model: validation, frozen resonance values,
 and exact homogeneity of every response path.
 
 The frozen numbers below are computed from independent arithmetic on the
@@ -19,10 +19,8 @@ from magpol.delay import find_zero_reflection
 from magpol.errors import DomainError
 from magpol.model import (
     MAX_MAGNITUDE,
-    CouplingRegime,
     DriveField,
     SystemParams,
-    classify_coupling,
     output_field,
     transmission,
 )
@@ -35,30 +33,7 @@ _T_PROBE0 = 1.0 - 2.0 * 21.8 * 1.2 / _DEN0  # 0.730920
 _PUMP_COEF = 2.0 * 7.6 * math.sqrt(21.8 * 0.6) / _DEN0  # 0.282723
 
 
-class TestClassifyCoupling:
-    def test_under_critical_over(self):
-        assert classify_coupling(0.2) is CouplingRegime.UNDERCOUPLED
-        assert classify_coupling(0.5) is CouplingRegime.CRITICAL
-        assert classify_coupling(0.8) is CouplingRegime.OVERCOUPLED
-        assert classify_coupling(1.0) is CouplingRegime.OVERCOUPLED
-
-    def test_critical_tolerance_band(self):
-        assert classify_coupling(0.5 + 1e-13) is CouplingRegime.CRITICAL
-        assert classify_coupling(0.5 + 1e-11) is CouplingRegime.OVERCOUPLED
-
-    @pytest.mark.parametrize("eta", [0.0, -0.1, 1.0000001, 2.0])
-    def test_out_of_range(self, eta):
-        with pytest.raises(DomainError):
-            classify_coupling(eta)
-
-
 class TestSystemParams:
-    def test_reference_coupling_ratios(self, params):
-        assert params.eta_c == pytest.approx(21.8 / 113.9, rel=1e-15)
-        assert params.eta_m == 0.5
-        assert params.cavity_regime is CouplingRegime.UNDERCOUPLED
-        assert params.magnon_regime is CouplingRegime.CRITICAL
-
     def test_feature_width(self, params):
         assert params.feature_width() == pytest.approx(1.2 + 7.6**2 / 113.9)
 
