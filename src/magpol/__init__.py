@@ -50,7 +50,6 @@ from .oracle import IntegratorConfig, integrate_to_steady, kernel_backend, oracl
 from .spectra import (
     DetuningGrid,
     RegimeLabel,
-    RegimeThresholds,
     SpectrumTrace,
     SweepAxis,
     SweepMap,
@@ -78,7 +77,6 @@ __all__ = [
     "ModeAmplitudes",
     "NoiseModel",
     "RegimeLabel",
-    "RegimeThresholds",
     "RunConfig",
     "SpectrumTrace",
     "SweepAxis",

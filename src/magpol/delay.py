@@ -66,6 +66,9 @@ _BLOCK_SAMPLES = 2**15
 
 _TWO_PI = 2.0 * math.pi
 
+# A transition's delay jump exceeds this many median adjacent changes.
+_JUMP_FACTOR = 10.0
+
 
 def _numerator_terms(params: SystemParams, zc, zm, exponent: int):
     """(base, slope, dnum_imag, dden_imag) from the core's scaled zc and zm:
@@ -410,14 +413,12 @@ class TransitionReport:
     peak_delay: float
 
 
-def detect_abrupt_transition(
-    ratio_values, extremal_delays, jump_factor: float = 10.0
-) -> TransitionReport | None:
+def detect_abrupt_transition(ratio_values, extremal_delays) -> TransitionReport | None:
     """First sign change of the extremal delay whose jump dwarfs the median.
 
     A qualifying pair of adjacent ratios changes the delay sign with
-    |delta tau| greater than jump_factor times the median adjacent change.
-    Returns None when no pair qualifies.
+    |delta tau| greater than _JUMP_FACTOR (10) times the median adjacent
+    change.  Returns None when no pair qualifies.
     """
     ratios = np.asarray(ratio_values, dtype=float)
     delays = np.asarray(extremal_delays, dtype=float)
@@ -430,7 +431,7 @@ def detect_abrupt_transition(
     jumps = np.abs(np.diff(delays))
     median_jump = float(np.median(jumps))
     for i in range(ratios.size - 1):
-        if delays[i] * delays[i + 1] < 0.0 and jumps[i] > jump_factor * median_jump:
+        if delays[i] * delays[i + 1] < 0.0 and jumps[i] > _JUMP_FACTOR * median_jump:
             sign = (
                 TransitionSign.ADVANCE_TO_DELAY
                 if delays[i] < 0.0

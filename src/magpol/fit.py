@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import MAX_MAGNITUDE, DriveField, SystemParams, _drive_coefficient, _response_terms
-from .spectra import DetuningGrid, _probe_terms_on, trace
+from .spectra import DetuningGrid, _probe_reflection, trace
 
 _SYSTEM_FIELDS = (
     "coupling_g",
@@ -240,35 +240,18 @@ def _candidate(
     return params, BackgroundModel(**background_updates), offset
 
 
-def _residual_terms(params: SystemParams, background: BackgroundModel, detunings):
-    """(den, t_probe, pump_scale, background prefactor): the residual's
-    drive-free factors, den and pump_scale in the core's scaled units."""
-    return (*_probe_terms_on(params, detunings), background._prefactor(detunings))
-
-
-def _jacobian_terms(params: SystemParams, background: BackgroundModel, detunings):
-    """(zc, zm, den, pump_scale, exp(i*s*Delta), prefactor, prefactor/den):
-    the Jacobian's drive-free factors, unscaled, with den = zc*zm + g**2
-    and prefactor = A*exp(i*s*Delta).
-
-    The fit's floors keep |den| above about 1e-18, so these need no
-    prescale, and the columns need no rescaling."""
-    zc, zm, den, pump_scale, _ = _response_terms(params, detunings, exponent=0)
+def _model_terms(params: SystemParams, background: BackgroundModel, detunings):
+    """(zc, zm, den, pump_scale, exponent, t_probe, rotation, prefactor):
+    the drive-free factors of the model at these detunings, which the
+    residual and the Jacobian at the same point both read.  zc, zm, den and
+    pump_scale are in the core's units (every rate scaled by 2^-exponent),
+    t_probe = 1 - 2*kappa_c1*zm/den, rotation = exp(i*s*Delta) and
+    prefactor = A*rotation.  DomainError where t_probe is not finite."""
+    zc, zm, den, pump_scale, exponent = _response_terms(params, detunings)
+    t_probe = _probe_reflection(params, zm, den, exponent)
     rotation = np.exp(1j * background.phase_slope * detunings)
     prefactor = background.amplitude_scale * rotation
-    return zc, zm, den, pump_scale, rotation, prefactor, prefactor / den
-
-
-def _shared_terms(cache: list, compute, params, background, detunings):
-    """compute(params, background, detunings), evaluated once per distinct
-    detuning array.  Arrays match by identity or equal values, never by grid
-    equality: a from_values grid keeps its own samples."""
-    for values, terms in cache:
-        if values is detunings or np.array_equal(values, detunings):
-            return terms
-    terms = compute(params, background, detunings)
-    cache.append((detunings, terms))
-    return terms
+    return zc, zm, den, pump_scale, exponent, t_probe, rotation, prefactor
 
 
 def _residual_vector(
@@ -276,14 +259,24 @@ def _residual_vector(
     params: SystemParams,
     background: BackgroundModel,
     offset: float | None,
-) -> np.ndarray:
-    cache = []
+) -> tuple[np.ndarray, list]:
+    """(residual, terms): the residual rows, and each observation's
+    _model_terms for _jacobian at the same point.  The terms are evaluated
+    once per distinct detuning array; arrays match by identity or equal
+    values, never by grid equality, since a from_values grid keeps its own
+    samples."""
+    terms = []
     parts = []
     for obs in problem.observations:
         drive = obs.drive if offset is None else replace(obs.drive, phase_offset=offset)
-        den, t_probe, pump_scale, prefactor = _shared_terms(
-            cache, _residual_terms, params, background, obs.grid.values
-        )
+        detunings = obs.grid.values
+        for earlier, shared in zip(problem.observations, terms):
+            if earlier.grid.values is detunings or np.array_equal(earlier.grid.values, detunings):
+                break
+        else:
+            shared = _model_terms(params, background, detunings)
+        terms.append(shared)
+        _, _, den, pump_scale, _, t_probe, _, prefactor = shared
         model = prefactor * (t_probe + _drive_coefficient(pump_scale, drive) / den)
         if obs.has_phase:
             diff = model - obs.values
@@ -291,17 +284,17 @@ def _residual_vector(
             parts.append(diff.imag)
         else:
             parts.append(np.abs(model) - obs.values)
-    return np.concatenate(parts)
+    return np.concatenate(parts), terms
 
 
-def _response_partials(name, params, drive, c, zc, zm):
+def _response_partials(name, drive, c, zc, zm, g, kappa_c1, kappa_m1):
     """(dN/dp, dden/dp) for a parameter p of t = 1 + N/den, where
-    N = c - 2*kappa_c1*zm and c is the pump coefficient of this drive."""
-    kappa_c1 = params.kappa_c1
+    N = c - 2*kappa_c1*zm and c is the pump coefficient of this drive; the
+    rates and p are in the same scaled units as zc, zm and c."""
     if name == "coupling_g":
         # c is linear in g, so dc/dg is c at unit coupling
-        unit_scale = 2.0 * math.sqrt(kappa_c1 * params.kappa_m1)
-        return _drive_coefficient(unit_scale, drive), 2.0 * params.coupling_g
+        unit_scale = 2.0 * math.sqrt(kappa_c1 * kappa_m1)
+        return _drive_coefficient(unit_scale, drive), 2.0 * g
     if name == "kappa_c":
         return 0.0, zm
     if name == "kappa_m":
@@ -309,7 +302,7 @@ def _response_partials(name, params, drive, c, zc, zm):
     if name == "kappa_c1":
         return c / (2.0 * kappa_c1) - 2.0 * zm, 0.0
     if name == "kappa_m1":
-        return c / (2.0 * params.kappa_m1), 0.0
+        return c / (2.0 * kappa_m1), 0.0
     # Delta_m = Delta + magnon_freq - cavity_freq: the two frequencies enter
     # only through their difference, and their columns are exact negatives
     if name == "cavity_freq":
@@ -324,26 +317,34 @@ def _jacobian(
     params: SystemParams,
     background: BackgroundModel,
     offset: float | None,
+    terms: list,
 ) -> np.ndarray:
-    """d(residual)/dx in closed form, rows in _residual_vector's order.
+    """d(residual)/dx in closed form, rows in _residual_vector's order, from
+    the terms _residual_vector returned at the same point.
 
     With t = 1 + N/den and model = prefactor * t, a response parameter p
     gives dt/dp = (dN/dp - (t - 1) * dden/dp) / den; amplitude_scale and
-    phase_slope differentiate the prefactor.  Magnitude rows are
-    Re(conj(model) * dmodel) / |model|, and 0 where the model vanishes.
+    phase_slope differentiate the prefactor.  The response partials are
+    taken in the core's scaled units, so a column of a SystemParams field
+    (a rate in MHz) carries the exact factor 2^-exponent.  Magnitude rows
+    are Re(conj(model) * dmodel) / |model|, and 0 where the model vanishes.
     """
-    cache = []
     blocks = []
-    for obs in problem.observations:
+    for obs, (zc, zm, den, pump_scale, exponent, _, rotation, prefactor) in zip(
+        problem.observations, terms
+    ):
         drive = obs.drive if offset is None else replace(obs.drive, phase_offset=offset)
         detunings = obs.grid.values
-        zc, zm, den, pump_scale, rotation, prefactor, scaled = _shared_terms(
-            cache, _jacobian_terms, params, background, detunings
+        g, kappa_c1, kappa_m1 = (
+            math.ldexp(rate, -exponent)
+            for rate in (params.coupling_g, params.kappa_c1, params.kappa_m1)
         )
         c = _drive_coefficient(pump_scale, drive)
-        q = (c - 2.0 * params.kappa_c1 * zm) / den
+        q = (c - 2.0 * kappa_c1 * zm) / den
         t = 1.0 + q
         model = prefactor * t
+        per_den = prefactor / den
+        per_rate = per_den * math.ldexp(1.0, -exponent)
         dmodel = np.empty((len(problem.free), detunings.size), dtype=complex)
         for k, name in enumerate(problem.free):
             if name == "amplitude_scale":
@@ -351,8 +352,9 @@ def _jacobian(
             elif name == "phase_slope":
                 dmodel[k] = 1j * detunings * model
             else:
-                d_num, d_den = _response_partials(name, params, drive, c, zc, zm)
-                dmodel[k] = scaled * (d_num - q * d_den)
+                d_num, d_den = _response_partials(name, drive, c, zc, zm, g, kappa_c1, kappa_m1)
+                scale = per_den if name == "phase_offset" else per_rate
+                dmodel[k] = scale * (d_num - q * d_den)
         if obs.has_phase:
             blocks += [dmodel.real.T, dmodel.imag.T]
         else:
@@ -365,32 +367,33 @@ def _jacobian(
 
 
 def _trial_residual(problem, initial, x, lower):
-    """(model point, residual) at x, or None where x leaves the box or is
-    not a valid model."""
+    """(model point, residual, terms) at x, or None where x leaves the box
+    or is not a valid model."""
     if not np.all(x >= lower):
         return None
     try:
         point = _candidate(problem, initial, x)
     except DomainError:
         return None
-    return point, _residual_vector(problem, *point)
+    return point, *_residual_vector(problem, *point)
 
 
 def _levenberg_marquardt(problem: FitProblem, initial: SystemParams, x, lower):
     """Minimize half the squared residual from x over the box x >= lower.
 
-    Returns (x, model point, residual, Jacobian, evaluations, stopped on a
-    tolerance, message), with the Jacobian taken at the returned x.
+    Returns (x, model point, residual, Jacobian, gradient J^T r, column
+    norms of J, evaluations, stopped on a tolerance, message), with the
+    Jacobian taken at the returned x.
     """
     point = _candidate(problem, initial, x)
-    residual = _residual_vector(problem, *point)
+    residual, terms = _residual_vector(problem, *point)
     cost = 0.5 * float(residual @ residual)
     evaluations = 1
     max_evaluations = _EVALUATIONS_PER_PARAMETER * x.size
     scale, damping, growth = None, _INITIAL_DAMPING, 2.0
     message = None
     while True:
-        jac = _jacobian(problem, *point)
+        jac = _jacobian(problem, *point, terms)
         gradient, gram = jac.T @ residual, jac.T @ jac
         norms = np.linalg.norm(jac, axis=0)
         if scale is None:
@@ -399,12 +402,12 @@ def _levenberg_marquardt(problem: FitProblem, initial: SystemParams, x, lower):
         if message is None and np.max(np.abs(gradient)) < _TOLERANCE:
             message = "gradient below tolerance"
         if message is not None:
-            return x, point, residual, jac, evaluations, True, message
+            return x, point, residual, jac, gradient, norms, evaluations, True, message
         x_norm = np.linalg.norm(x)
         while True:  # trial steps from x until one lowers the cost
             if evaluations >= max_evaluations:
                 message = f"evaluation cap of {max_evaluations} reached"
-                return x, point, residual, jac, evaluations, False, message
+                return x, point, residual, jac, gradient, norms, evaluations, False, message
             evaluations += 1
             try:
                 step = np.linalg.solve(gram + np.diag(damping * scale**2), -gradient)
@@ -419,7 +422,8 @@ def _levenberg_marquardt(problem: FitProblem, initial: SystemParams, x, lower):
                     break
             damping, growth = damping * growth, 2.0 * growth
             if small_step:
-                return x, point, residual, jac, evaluations, True, "step below tolerance"
+                message = "step below tolerance"
+                return x, point, residual, jac, gradient, norms, evaluations, True, message
         reduction = cost - trial_cost
         # Nielsen's predicted reduction; a gain ratio above 1 acts as 1, which
         # also covers a prediction that rounding has made nonpositive
@@ -431,7 +435,7 @@ def _levenberg_marquardt(problem: FitProblem, initial: SystemParams, x, lower):
             message = "cost change below tolerance"
         elif small_step:
             message = "step below tolerance"
-        x, (point, residual), cost = x + step, trial, trial_cost
+        x, (point, residual, terms), cost = x + step, trial, trial_cost
 
 
 def fit_parameters(
@@ -446,9 +450,10 @@ def fit_parameters(
     (for example an external rate exceeding its total), is rejected like a
     step that does not lower the cost, so every iterate is a valid model.
     The starting point must lie on or above those floors.  Each residual
-    and Jacobian evaluation computes the drive-independent factors (den, zm
-    and the background prefactor) once per distinct detuning grid and
-    shares them across the observations taken on it.
+    evaluation computes the drive-independent factors (den, zm and the
+    background prefactor) once per distinct detuning grid and shares them
+    across the observations taken on it; the Jacobian at an accepted point
+    reuses them.
     """
     free = list(problem.free)
     if "phase_slope" in free and not any(o.has_phase for o in problem.observations):
@@ -465,12 +470,12 @@ def fit_parameters(
             raise DomainError(
                 f"initial {name} ({value}) is below the fit's floor {bound}"
             )
-    x, (params, background, offset), residual, jac, evaluations, stopped, message = (
-        _levenberg_marquardt(problem, initial, x0, lower)
-    )
+    (
+        x, (params, background, offset), residual, jac, gradient, norms,
+        evaluations, stopped, message,
+    ) = _levenberg_marquardt(problem, initial, x0, lower)
     residual_norm = float(np.linalg.norm(residual))
-    norms = np.linalg.norm(jac, axis=0)
-    scaled_gradient = np.abs(jac.T @ residual) / np.where(norms > 0.0, norms, 1.0)
+    scaled_gradient = np.abs(gradient) / np.where(norms > 0.0, norms, 1.0)
     converged = stopped and bool(
         np.max(scaled_gradient) <= _GRADIENT_RTOL * max(1.0, residual_norm)
     )

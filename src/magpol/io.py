@@ -245,16 +245,16 @@ def render_csv(trace: SpectrumTrace) -> str:
 def render_touchstone(
     trace: SpectrumTrace,
     cavity_freq: float = 0.0,
-    z0: float = 50.0,
     metadata: dict[str, str] | None = None,
 ) -> str:
-    """Touchstone v1 .s1p text in RI layout with ascending Hz frequencies.
+    """Touchstone v1 .s1p text in RI layout with ascending Hz frequencies,
+    referenced to 50 ohm.
 
     The detuning axis appears reversed in the file because detuning falls as
     frequency rises.  Metadata is stored as `! key = value` comments.
     """
     lines = [f"! {key} = {value}" for key, value in (metadata or {}).items()]
-    lines.append("# HZ S RI R " + _format_number(z0))
+    lines.append("# HZ S RI R 50")
     t = trace.t[::-1]
     freq_hz = (cavity_freq - trace.grid.values[::-1]) * 1e6
     lines += _rows([freq_hz, t.real, t.imag], sep=" ")
@@ -266,7 +266,6 @@ def write_trace(
     path,
     format: TraceFormat = TraceFormat.CSV,
     cavity_freq: float = 0.0,
-    z0: float = 50.0,
     metadata: dict[str, str] | None = None,
 ) -> None:
     """Write a trace with 17-significant-digit numbers and a trailing newline.
@@ -276,7 +275,7 @@ def write_trace(
     if format is TraceFormat.CSV:
         text = render_csv(trace)
     elif format is TraceFormat.TOUCHSTONE_S1P:
-        text = render_touchstone(trace, cavity_freq=cavity_freq, z0=z0, metadata=metadata)
+        text = render_touchstone(trace, cavity_freq=cavity_freq, metadata=metadata)
     else:
         raise DomainError(f"unknown trace format {format!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:

@@ -167,14 +167,12 @@ class ModeAmplitudes:
     magnon_amp: complex
 
 
-def _scale_exponent(params: SystemParams, *detunings, coupled: bool = True) -> int:
+def _scale_exponent(params: SystemParams, *detunings) -> int:
     """The exponent of _response_terms' prescale: 2^exponent is the smallest
     power of two above the largest of kappa_c, kappa_m, g, |offset| and the
-    given probe detunings in magnitude.  coupled=False takes g as 0, as for
-    the bare cavity."""
+    given probe detunings in magnitude."""
     offset = params.magnon_freq - params.cavity_freq
-    g = params.coupling_g if coupled else 0.0
-    rates = (params.kappa_c, params.kappa_m, g, abs(offset))
+    rates = (params.kappa_c, params.kappa_m, params.coupling_g, abs(offset))
     exponent = math.frexp(max(*rates, *map(abs, detunings)))[1]
     # keeps 2^-exponent and 2^exponent normal doubles
     if not -1020 <= exponent <= 1020:
@@ -198,8 +196,7 @@ def _response_terms(params: SystemParams, delta_p, exponent: int | None = None):
         ends = (delta_p[0], delta_p[-1]) if isinstance(delta_p, np.ndarray) else (delta_p,)
         exponent = _scale_exponent(params, *ends)
     scale = math.ldexp(1.0, -exponent)
-    if exponent:  # exponent 0 (the fit Jacobian) copies no array
-        delta_p = delta_p * scale
+    delta_p = delta_p * scale
     zc = 1j * delta_p + params.kappa_c * scale
     zm = 1j * (delta_p + offset * scale) + params.kappa_m * scale
     g = params.coupling_g * scale

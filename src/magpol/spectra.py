@@ -251,74 +251,46 @@ class RegimeLabel(enum.Enum):
     NULL = "Null"
 
 
-@dataclass(frozen=True)
-class RegimeThresholds:
-    """Declared constants behind the regime labels.
-
-    contrast_floor: smallest max |T - T_bare| (within the feature window)
-        counted as a real feature; below it the label is Null.  >= 0.
-    amp_tol: fractional headroom over the far-detuned baseline separating a
-        transparency peak (MIT) from amplification (MIAMP).  >= 0.
-    fano_lobe_ratio: a feature with both a positive and a negative lobe
-        against the bare-cavity curve is Fano-like once the smaller lobe
-        exceeds this fraction of the larger one.  In [0, 1].
-    window: feature window half-width in MHz, finite and > 0; None means 6x
-        the narrow feature width kappa_m + g^2/kappa_c.
-    baseline_span_factor: half-span of the internal baseline-estimation grid
-        in units of kappa_c.  > 0.
-
-    Raises DomainError for a value outside these ranges.
-    """
-
-    contrast_floor: float = 0.05
-    amp_tol: float = 0.10
-    fano_lobe_ratio: float = 0.32
-    window: float | None = None
-    baseline_span_factor: float = 10.0
-
-    def __post_init__(self):
-        for name in ("contrast_floor", "amp_tol"):
-            if not getattr(self, name) >= 0.0:
-                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not 0.0 <= self.fano_lobe_ratio <= 1.0:
-            raise DomainError(f"fano_lobe_ratio must be in [0, 1], got {self.fano_lobe_ratio}")
-        if self.window is not None and not (math.isfinite(self.window) and self.window > 0.0):
-            raise DomainError(f"window must be finite and positive, got {self.window}")
-        if not self.baseline_span_factor > 0.0:
-            raise DomainError(
-                f"baseline_span_factor must be positive, got {self.baseline_span_factor}"
-            )
+# The regime-label rules; classify_regime says how each is used.
+_CONTRAST_FLOOR = 0.05
+_AMPLIFICATION_TOL = 0.10
+_FANO_LOBE_RATIO = 0.32
+_WINDOW_WIDTHS = 6.0  # feature widths, kappa_m + g^2/kappa_c
+_BASELINE_SPAN = 10.0  # units of kappa_c
 
 
 def classify_regime(
     params: SystemParams,
     drive: DriveField,
-    thresholds: RegimeThresholds | None = None,
     grid: DetuningGrid | None = None,
 ) -> RegimeLabel:
     """Label the narrow feature of the trace at this drive setting.
 
-    The feature is judged against the bare-cavity curve (same params with
-    coupling_g = 0, pump off) inside the feature window, and against the
-    far-detuned baseline: the median |t_p| over the outer 5% per side of a
-    wide internal grid of DEFAULT_GRID_COUNT samples (as baseline_level on
-    the full trace there).
+    The feature window is |Delta_p| <= _WINDOW_WIDTHS (6) feature widths
+    (params.feature_width()), and the grid must span it.  The feature is
+    judged against the bare-cavity curve (same params with coupling_g = 0,
+    pump off) inside the window, and against the far-detuned baseline: the
+    median |t_p| over the outer 5% per side of a wide internal grid of
+    DEFAULT_GRID_COUNT samples spanning +-_BASELINE_SPAN (10) kappa_c, or
+    the grid if it is wider (as baseline_level on the full trace there).
+
+    The largest deviation from the bare curve is the contrast.  Below
+    _CONTRAST_FLOOR (0.05) the label is Null; when both lobes exceed
+    _FANO_LOBE_RATIO (0.32) of it, Fano; a dip is MIABS; a peak is MIT up
+    to _AMPLIFICATION_TOL (10%) over the baseline, and MIAMP above.
 
     Only the samples that decide the label are evaluated: the grid samples
-    with |Delta_p| <= window, for both curves, and, when the positive lobe
-    wins, the 2 x 60 outer samples of the wide grid.  Each curve is computed
-    at the prescale the core picks for its whole grid (without g for the
-    bare cavity), so every sample has the bits of the full trace; a sample
-    that is not representable raises DomainError, and so does a grid with
-    no sample inside the window.
+    inside the window, for both curves, and, when the positive lobe wins,
+    the 2 x 60 outer samples of the wide grid.  Both curves are computed at
+    the prescale the core picks for the whole grid, so every sample has the
+    bits of the full trace (the bare cavity's own prescale, without g, is
+    the same on any grid that spans the window); a sample that is not
+    representable raises DomainError, and so does a grid with no sample
+    inside the window.
     """
-    if thresholds is None:
-        thresholds = RegimeThresholds()
     if grid is None:
         grid = default_grid()
-    window = thresholds.window
-    if window is None:
-        window = 6.0 * params.feature_width()
+    window = _WINDOW_WIDTHS * params.feature_width()
     if grid.start > -window or grid.stop < window:
         raise DomainError(
             f"grid [{grid.start}, {grid.stop}] does not span the "
@@ -332,30 +304,25 @@ def classify_regime(
             f"grid [{grid.start}, {grid.stop}] with {grid.count} samples has none "
             f"inside the {window:g} MHz feature window"
         )
-    # each curve at the prescale the core picks for the whole grid
     exponent = _scale_exponent(params, values[0], values[-1])
     zc, zm, den, pump_scale, _ = _response_terms(params, inside, exponent)
     t_probe = _probe_reflection(params, zm, den, exponent)
     measured = np.abs(t_probe + _drive_coefficient(pump_scale, drive) / den)
     # the bare cavity (coupling_g = 0, pump off) has den = zc*zm and t_p =
-    # t_probe; zc and zm do not depend on g, but its prescale leaves g out
-    bare_exponent = _scale_exponent(params, values[0], values[-1], coupled=False)
-    if bare_exponent != exponent:
-        zc, zm = _response_terms(params, inside, bare_exponent)[:2]
-    bare = np.abs(_probe_reflection(params, zm, zc * zm, bare_exponent))
+    # t_probe; zc and zm do not depend on g
+    bare = np.abs(_probe_reflection(params, zm, zc * zm, exponent))
 
     deviation = measured - bare
     positive_lobe = float(np.max(deviation, initial=0.0))
     negative_lobe = float(-np.min(deviation, initial=0.0))
     contrast = max(positive_lobe, negative_lobe)
-    if contrast < thresholds.contrast_floor:
+    if contrast < _CONTRAST_FLOOR:
         return RegimeLabel.NULL
-    if min(positive_lobe, negative_lobe) > thresholds.fano_lobe_ratio * contrast:
+    if min(positive_lobe, negative_lobe) > _FANO_LOBE_RATIO * contrast:
         return RegimeLabel.FANO
     if positive_lobe >= negative_lobe:
         half_span = min(
-            max(thresholds.baseline_span_factor * params.kappa_c, grid.stop, -grid.start),
-            MAX_MAGNITUDE,
+            max(_BASELINE_SPAN * params.kappa_c, grid.stop, -grid.start), MAX_MAGNITUDE
         )
         # the outer samples include both ends, so the core picks the whole
         # wide grid's prescale
@@ -364,7 +331,7 @@ def classify_regime(
         far_t = far_probe + _drive_coefficient(far_scale, drive) / far_den
         baseline = float(np.median(np.abs(far_t)))
         peak = float(np.max(measured))
-        if peak <= baseline * (1.0 + thresholds.amp_tol):
+        if peak <= baseline * (1.0 + _AMPLIFICATION_TOL):
             return RegimeLabel.MIT
         return RegimeLabel.MIAMP
     return RegimeLabel.MIABS

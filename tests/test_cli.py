@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import magpol
 from magpol import cli
+from magpol import fit as fit_mod
 from magpol.cli import dispatch
 from magpol.io import TraceFormat, read_trace, write_trace
 from magpol import oracle
@@ -838,34 +839,66 @@ def _values_option(values):
     return "--values=" + ",".join(repr(value) for value in values)
 
 
+# the --free value of fit: distinct parameter names, or a list that may
+# also hold unknown or empty names, duplicates and stray whitespace
+_NAMES = st.sampled_from(fit_mod.FREE_PARAMETER_NAMES)
+_FREE_LISTS = st.one_of(
+    st.lists(_NAMES, min_size=1, max_size=4, unique=True),
+    st.lists(st.one_of(_NAMES, st.text(max_size=12)), max_size=5),
+).map(",".join)
+
+
 @given(
     config_texts(),
     st.lists(st.one_of(st.floats(0.0, 5.0), _WILD), min_size=1, max_size=3),
     st.lists(st.one_of(st.floats(-7.0, 7.0), _WILD), min_size=1, max_size=3),
     st.one_of(st.floats(-7.0, 7.0), _WILD),
     st.dictionaries(st.sampled_from(["delta", "phi", "phi0"]), _WILD),
+    st.fixed_dictionaries(
+        {
+            "max_ratio": st.one_of(st.none(), _WILD),
+            "count": st.integers(1, 3),
+            "seed": st.integers(-3, 2**70),
+            "tol": st.one_of(_WILD, st.floats(1e-12, 1e-3)),
+            "free": _FREE_LISTS,
+        }
+    ),
 )
 @settings(max_examples=40, deadline=None)
-def test_dispatch_property_on_generated_configs(text, ratios, phases, phase_eff, overrides):
-    """Exit 0, 1 or 2 and never an exception, on any config and drive
-    overrides; exit 0 prints no nan (the -inf dB sentinel is allowed).
-    Every drive-level command guards the same drive: when delay or classify
-    exits 0, so does spectrum."""
+def test_dispatch_property_on_generated_configs(
+    text, ratios, phases, phase_eff, overrides, options
+):
+    """Exit 0, 1 or 2 and never an exception, on any config, drive
+    overrides and option values; exit 0 prints no nan (the -inf dB sentinel
+    is allowed).  Every drive-level command guards the same drive: when
+    delay or classify exits 0, so does spectrum."""
     drive = [f"--{key}={value!r}" for key, value in overrides.items()]
-    commands = [
-        ["spectrum", *drive],
-        ["map", "--axis", "ratio", _values_option(ratios)],
-        ["map", "--axis", "phase", _values_option(phases)],
-        ["delay", *drive],
-        ["delay", "--method", "fd", *drive],
-        ["classify", *drive],
-        ["zero", f"--phase-eff={phase_eff!r}"],
-    ]
+    max_ratio = options["max_ratio"]
     codes = []
     with tempfile.TemporaryDirectory() as directory:
         config = os.path.join(directory, "device.toml")
         with open(config, "w", encoding="utf-8") as handle:
             handle.write(text)
+        data = os.path.join(directory, "trace.s1p")
+        sample = trace(TRUTH, DriveField(1.0, 0.35 * math.pi), DetuningGrid(-60.0, 60.0, 21))
+        write_trace(sample, data, TraceFormat.TOUCHSTONE_S1P, metadata={"delta": "1"})
+        commands = [
+            ["spectrum", *drive],
+            ["map", "--axis", "ratio", _values_option(ratios)],
+            ["map", "--axis", "phase", _values_option(phases)],
+            ["delay", *drive],
+            ["delay", "--method", "fd", *drive],
+            ["classify", *drive],
+            ["zero", f"--phase-eff={phase_eff!r}"]
+            + ([] if max_ratio is None else [f"--max-ratio={max_ratio!r}"]),
+            [
+                "oracle-check",
+                f"--count={options['count']}",
+                f"--seed={options['seed']}",
+                f"--tol={options['tol']!r}",
+            ],
+            ["fit", "--data", data, f"--free={options['free']}"],
+        ]
         for command in commands:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

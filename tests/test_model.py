@@ -257,6 +257,24 @@ def test_pump_off_reflection_is_passive(params, delta):
     assert abs(value) <= 1.0 + 1e-12
 
 
+@given(
+    valid_params(),
+    valid_drives(),
+    st.floats(-1e3, 0.0, exclude_max=True),
+    st.floats(1e-3, 2e3),
+    st.integers(2, 401),
+)
+@settings(max_examples=100, deadline=None)
+def test_pump_off_trace_is_passive(params, drive, start, width, count):
+    # |t_p| <= 1 exactly; the computed trace may exceed 1 only by rounding.
+    # The allowance is the transmission property's 1e-12, far above the
+    # largest excess seen (3 ulp, 6.7e-16, over 3000 examples) and far
+    # below any gain a wrong loss term would give
+    grid = DetuningGrid(start, start + width, count)
+    spectrum = trace(params, replace(drive, ratio_delta=0.0), grid)
+    assert np.max(spectrum.magnitude) <= 1.0 + 1e-12
+
+
 def scaled(params, k):
     """params with every rate and frequency multiplied by 2**k."""
     return replace(params, **{f.name: math.ldexp(getattr(params, f.name), k) for f in fields(params)})

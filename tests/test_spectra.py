@@ -18,6 +18,7 @@ from magpol.model import (
     MAX_MAGNITUDE,
     DriveField,
     SystemParams,
+    _scale_exponent,
     transmission,
 )
 from magpol.spectra import (
@@ -25,7 +26,6 @@ from magpol.spectra import (
     MAX_GRID_COUNT,
     DetuningGrid,
     RegimeLabel,
-    RegimeThresholds,
     SpectrumTrace,
     SweepAxis,
     baseline_level,
@@ -282,11 +282,6 @@ class TestBaselineAndExtremum:
         # below the bare-cavity center level of 0.617
         assert magnitude < 0.62
 
-    def test_window_must_be_inside_grid(self, params, drive_off):
-        narrow = DetuningGrid(-2.0, 2.0, 41)
-        with pytest.raises(DomainError, match="window"):
-            classify_regime(params, drive_off, RegimeThresholds(window=5.0), narrow)
-
 
 class TestClassifyRegime:
     def test_baseline_grid_stays_within_the_magnitude_cap(self):
@@ -328,79 +323,31 @@ class TestClassifyRegime:
     def test_bare_polariton_is_transparent(self, params, drive_off):
         assert classify_regime(params, drive_off) is RegimeLabel.MIT
 
-    def test_huge_contrast_floor_turns_everything_null(self, params):
-        drive = DriveField(ratio_delta=1.2, phase_phi=0.35 * math.pi)
-        thresholds = RegimeThresholds(contrast_floor=10.0)
-        assert classify_regime(params, drive, thresholds) is RegimeLabel.NULL
-
     def test_grid_must_cover_the_window(self, params, drive_off):
         narrow = DetuningGrid(-2.0, 2.0, 41)
         with pytest.raises(DomainError, match="window"):
             classify_regime(params, drive_off, grid=narrow)
 
-    @pytest.mark.parametrize("thresholds", [None, RegimeThresholds(contrast_floor=0.0)])
-    def test_grid_with_no_sample_in_the_window_is_rejected(self, params, thresholds):
-        # two samples span the window from outside it: once a Null label from
-        # no evidence, and with a zero floor numpy's zero-size ValueError
+    def test_grid_with_no_sample_in_the_window_is_rejected(self, params):
+        # two samples span the window from outside it: once a Null label
+        # from no evidence
         drive = DriveField(1.2, 1.1)
         fine = DetuningGrid(-100.0, 100.0, 1201)
-        assert classify_regime(params, drive, thresholds, fine) is RegimeLabel.MIABS
+        assert classify_regime(params, drive, grid=fine) is RegimeLabel.MIABS
         message = r"grid \[-100.0, 100.0\] with 2 samples has none inside the .* window"
         with pytest.raises(DomainError, match=message):
-            classify_regime(params, drive, thresholds, DetuningGrid(-100.0, 100.0, 2))
-
-    def test_explicit_window_override(self, params, drive_off):
-        narrow = DetuningGrid(-2.0, 2.0, 41)
-        thresholds = RegimeThresholds(window=1.5)
-        assert classify_regime(params, drive_off, thresholds, narrow) is RegimeLabel.MIT
+            classify_regime(params, drive, grid=DetuningGrid(-100.0, 100.0, 2))
 
 
-class TestRegimeThresholds:
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("window", -1.0),
-            ("window", 0.0),
-            ("window", math.inf),
-            ("window", math.nan),
-            ("contrast_floor", -0.01),
-            ("contrast_floor", math.nan),
-            ("amp_tol", -0.1),
-            ("fano_lobe_ratio", -0.1),
-            ("fano_lobe_ratio", 1.5),
-            ("fano_lobe_ratio", math.nan),
-            ("baseline_span_factor", 0.0),
-            ("baseline_span_factor", -10.0),
-            ("baseline_span_factor", math.nan),
-        ],
-    )
-    def test_out_of_range_value_rejected(self, field, value):
-        with pytest.raises(DomainError, match=field):
-            RegimeThresholds(**{field: value})
-
-    def test_limits_accepted(self):
-        RegimeThresholds(contrast_floor=0.0, amp_tol=0.0, fano_lobe_ratio=0.0, window=1e-3)
-        RegimeThresholds(fano_lobe_ratio=1.0, baseline_span_factor=1e-3)
-
-    def test_negative_window_is_not_a_null_label(self, params):
-        # an empty feature window once gave Null where the default gives MIABS
-        drive = DriveField(ratio_delta=1.2, phase_phi=0.35 * math.pi)
-        assert classify_regime(params, drive) is RegimeLabel.MIABS
-        with pytest.raises(DomainError, match="window"):
-            classify_regime(params, drive, RegimeThresholds(window=-1.0))
-
-
-def classify_regime_reference(params, drive, thresholds=None, grid=None):
+def classify_regime_reference(params, drive, grid=None):
     """The regime label from three full traces (measured, bare cavity and a
     wide baseline grid): the algorithm classify_regime must reproduce on the
-    samples it reads."""
-    if thresholds is None:
-        thresholds = RegimeThresholds()
+    samples it reads, with its rules written out (window of 6 feature
+    widths, contrast floor 0.05, Fano lobe ratio 0.32, baseline over
+    +-10 kappa_c, 10% amplification headroom)."""
     if grid is None:
         grid = default_grid()
-    window = thresholds.window
-    if window is None:
-        window = 6.0 * params.feature_width()
+    window = 6.0 * params.feature_width()
     if grid.start > -window or grid.stop < window:
         raise DomainError(
             f"grid [{grid.start}, {grid.stop}] does not span the "
@@ -418,19 +365,16 @@ def classify_regime_reference(params, drive, thresholds=None, grid=None):
     positive_lobe = float(np.max(deviation, initial=0.0))
     negative_lobe = float(-np.min(deviation, initial=0.0))
     contrast = max(positive_lobe, negative_lobe)
-    if contrast < thresholds.contrast_floor:
+    if contrast < 0.05:
         return RegimeLabel.NULL
-    if min(positive_lobe, negative_lobe) > thresholds.fano_lobe_ratio * contrast:
+    if min(positive_lobe, negative_lobe) > 0.32 * contrast:
         return RegimeLabel.FANO
     if positive_lobe >= negative_lobe:
-        half_span = min(
-            max(thresholds.baseline_span_factor * params.kappa_c, grid.stop, -grid.start),
-            MAX_MAGNITUDE,
-        )
+        half_span = min(max(10.0 * params.kappa_c, grid.stop, -grid.start), MAX_MAGNITUDE)
         wide = DetuningGrid(-half_span, half_span, DEFAULT_GRID_COUNT)
         baseline = baseline_level(trace(params, drive, wide))
         peak = float(np.max(measured.magnitude[inside]))
-        if peak <= baseline * (1.0 + thresholds.amp_tol):
+        if peak <= baseline * (1.0 + 0.10):
             return RegimeLabel.MIT
         return RegimeLabel.MIAMP
     return RegimeLabel.MIABS
@@ -448,7 +392,13 @@ def label_grids(draw, window):
     """Grids around a feature window: up to 2**8 times wider on either side
     (so their ends often set another prescale than the window's samples) or
     slightly narrower than the window, with 1 to 120 samples across it but
-    at most 4001 in all, built directly or from values."""
+    at most 4001 in all, built directly or from values; or, one time in
+    three, a grid with a sample on each window edge."""
+    if draw(st.integers(0, 2)) == 0:
+        # samples at window * j / 2**p: exactly +-window at j = +-2**p
+        p = draw(st.integers(0, 5))
+        below, above = (draw(st.integers(2**p, min(2 ** (p + 8), 2000))) for _ in range(2))
+        return DetuningGrid.from_values(window * (np.arange(-below, above + 1) * 2.0**-p))
     start = -window * 2.0 ** draw(st.floats(-0.15, 8.0))
     stop = window * 2.0 ** draw(st.floats(-0.15, 8.0))
     step = 2.0 * window / draw(st.integers(1, 120))
@@ -459,36 +409,59 @@ def label_grids(draw, window):
     return DetuningGrid.from_values(start + step * np.arange(count))
 
 
+@st.composite
+def wide_devices(draw):
+    """A valid_params() device whose coupling, linewidths and magnon offset
+    may each be moved to any magnitude from 1e-150 to 1e50 MHz (the
+    external rates keep their fractions of the totals)."""
+    params = draw(valid_params())
+    updates = {}
+    for name in ("coupling_g", "kappa_c", "kappa_m", "magnon_freq"):
+        if draw(st.booleans()):
+            updates[name] = 10.0 ** draw(st.floats(-150.0, 50.0))
+    kappa_c = updates.get("kappa_c", params.kappa_c)
+    kappa_m = updates.get("kappa_m", params.kappa_m)
+    updates["kappa_c1"] = min(kappa_c * (params.kappa_c1 / params.kappa_c), kappa_c)
+    updates["kappa_m1"] = min(kappa_m * (params.kappa_m1 / params.kappa_m), kappa_m)
+    return replace(params, **updates)
+
+
 class TestClassifyRegimeReference:
-    @given(valid_params(), valid_drives(), st.one_of(st.none(), st.floats(0.05, 50.0)), st.data())
+    @given(valid_params(), valid_drives(), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_property_label_equals_reference(self, params, drive, window, data):
-        grid = data.draw(label_grids(window or 6.0 * params.feature_width()))
-        inner = grid.values[np.abs(grid.values) <= min(-grid.start, grid.stop)]
-        if window is not None and np.any(inner) and data.draw(st.booleans()):
-            # a window edge on a grid sample, which the window includes
-            window = abs(float(data.draw(st.sampled_from(inner[inner != 0.0].tolist()))))
-        args = (params, drive, RegimeThresholds(window=window), grid)
+    def test_property_label_equals_reference(self, params, drive, data):
+        grid = data.draw(label_grids(6.0 * params.feature_width()))
+        args = (params, drive, grid)
         assert _label_or_error(classify_regime, *args) == _label_or_error(
             classify_regime_reference, *args
         )
 
-    def test_window_edges_on_grid_samples_are_inside(self, params):
-        # the window holds only its two edge samples, whose lobes have
-        # opposite signs: with both the label is Fano, with one it is not
-        grid = DetuningGrid(-6.0, 6.0, 4)
-        assert grid.values.tolist() == [-6.0, -2.0, 2.0, 6.0]
-        drive = DriveField(ratio_delta=1.5, phase_phi=0.25 * math.pi)
-        args = (params, drive, RegimeThresholds(window=2.0), grid)
+    def test_window_edges_on_grid_samples_are_inside(self):
+        # the window is exactly 6 * (0.25 + 1 * (1 / 4)) = 3 and holds only
+        # its two edge samples, whose lobes have opposite signs: with both
+        # the label is Fano, with one it is not
+        device = SystemParams(0.0, 0.0, 1.0, 4.0, 0.25, 1.0, 0.125)
+        assert 6.0 * device.feature_width() == 3.0
+        grid = DetuningGrid(-9.0, 9.0, 4)
+        assert grid.values.tolist() == [-9.0, -3.0, 3.0, 9.0]
+        drive = DriveField(ratio_delta=3.0, phase_phi=0.125 * math.pi)
+        args = (device, drive, grid)
         assert classify_regime(*args) is classify_regime_reference(*args) is RegimeLabel.FANO
+        one_edge = DetuningGrid.from_values([-9.0, -3.0, math.nextafter(3.0, 4.0), 9.0])
+        args = (device, drive, one_edge)
+        assert classify_regime(*args) is classify_regime_reference(*args)
+        assert classify_regime(*args) is not RegimeLabel.FANO
 
-    def test_bare_curve_keeps_the_prescale_that_leaves_g_out(self):
-        # g sets the coupled device's prescale, 2**28 above the grid's; at
-        # that prescale zc*zm at zero detuning is subnormal and its quotient
-        # overflows, while at the bare cavity's own prescale it is normal
-        device = SystemParams(0.0, 0.0, 1e10, 1e-150, 1e-150, 1e-150, 1e-150)
-        for drive in (DriveField(1.2, 0.35 * math.pi), DriveField(0.0)):
-            args = (device, drive, RegimeThresholds(window=1.0), default_grid())
-            expected = classify_regime_reference(*args)
-            assert isinstance(expected, RegimeLabel)
-            assert classify_regime(*args) is expected
+    @given(wide_devices(), st.floats(-0.15, 8.0), st.floats(-0.15, 8.0))
+    @settings(max_examples=200)
+    def test_bare_cavity_prescale_is_the_coupled_one(self, device, below, above):
+        # classify_regime evaluates the bare cavity at the coupled device's
+        # prescale: g can raise that prescale only where g > kappa_c, and
+        # there the window 6 * (kappa_m + g * (g / kappa_c)) exceeds 6g, so
+        # a grid that spans the window has an end above g
+        window = 6.0 * device.feature_width()
+        start = -min(window * 2.0**below, MAX_MAGNITUDE)
+        stop = min(window * 2.0**above, MAX_MAGNITUDE)
+        if start <= -window and stop >= window:
+            bare = replace(device, coupling_g=0.0)
+            assert _scale_exponent(bare, start, stop) == _scale_exponent(device, start, stop)
