@@ -2,8 +2,10 @@
 
 A fit problem holds one or more observed traces, each taken under its own
 pump drive but sharing one set of system parameters.  Observations carry
-either the full complex response or magnitude only; complex observations
-contribute their real and imaginary parts as separate residual rows.
+either the full complex response or magnitude only; a complex observation
+contributes the real and imaginary part of each sample as two residual rows,
+interleaved (Re, Im per sample) as the complex array's float view lays them
+out.
 
 The instrument background is modelled as a complex prefactor
 amplitude_scale * exp(i * phase_slope * detuning) applied to the ideal
@@ -18,16 +20,19 @@ The fit is Levenberg-Marquardt (More, "The Levenberg-Marquardt algorithm:
 implementation and theory", Lecture Notes in Mathematics 630, 1978) on that
 Jacobian J and the residual r.  Each step solves the damped normal equations
 (J^T J + lambda*diag(D**2)) * step = -J^T r, n by n for n free parameters,
-where D is the running maximum of J's column norms (1 for a column that has
-been zero throughout, so a parameter the data never touches stays exactly
-where it started).  The damping lambda follows Nielsen's gain-ratio update
+where D is the running maximum of J's column norms, the square roots of
+the diagonal of J^T J (1 for a column that has been zero throughout, so a
+parameter the data never touches stays exactly where it started).  J is
+written once per step as J^T, one float row per parameter, in the row order
+of the residual.  The damping lambda follows Nielsen's gain-ratio update
 ("Damping parameter in Marquardt's method", IMM-REP-1999-05).  A trial step
 that does not lower the cost is rejected, and so is one that leaves the box
 (coupling_g >= 0; rates and amplitude_scale >= 1e-9) or is not a valid model,
 such as kappa_c1 > kappa_c: infeasible steps are rejected, not penalized, so
-every iterate is a valid model.  The fit stops when the gradient, the
-relative cost change or the relative step falls below 1e-14 (the tests of
-scipy's least_squares), or after 100 evaluations per free parameter.
+every iterate is a valid model.  The fit stops when the column-scaled
+gradient max_i |(J^T r)_i| / D_i, the relative cost change or the relative
+step falls below 1e-14 (the tests of scipy's least_squares, with the
+gradient scaled by D), or after 100 evaluations per free parameter.
 """
 
 from __future__ import annotations
@@ -152,8 +157,9 @@ class FitProblem:
 class FitResult:
     """Fitted parameters with per-parameter uncertainties.
 
-    stderr comes from an SVD of the exact Jacobian at the solution, with
-    each column scaled to unit norm.  A parameter with a component above
+    stderr comes from the singular values of the exact Jacobian at the
+    solution, with each column scaled to unit norm, taken from the n by n R
+    factor of its QR decomposition.  A parameter with a component above
     1e-6 in its numerical null space (singular values at or below 1e-10 of
     the largest) is not identified by the data and gets inf: one with a
     zero column, or cavity_freq and magnon_freq when both are free, since
@@ -246,11 +252,16 @@ def _model_terms(params: SystemParams, background: BackgroundModel, detunings):
     residual and the Jacobian at the same point both read.  zc, zm, den and
     pump_scale are in the core's units (every rate scaled by 2^-exponent),
     t_probe = 1 - 2*kappa_c1*zm/den, rotation = exp(i*s*Delta) and
-    prefactor = A*rotation.  DomainError where t_probe is not finite."""
+    prefactor = A*rotation.  With s = 0 the rotation is 1 and the prefactor
+    the float A, which numpy multiplies as A + 0j, so the products keep the
+    bits of the exp form.  DomainError where t_probe is not finite."""
     zc, zm, den, pump_scale, exponent = _response_terms(params, detunings)
     t_probe = _probe_reflection(params, zm, den, exponent)
-    rotation = np.exp(1j * background.phase_slope * detunings)
-    prefactor = background.amplitude_scale * rotation
+    if background.phase_slope == 0.0:
+        rotation, prefactor = 1.0, background.amplitude_scale
+    else:
+        rotation = np.exp(1j * background.phase_slope * detunings)
+        prefactor = background.amplitude_scale * rotation
     return zc, zm, den, pump_scale, exponent, t_probe, rotation, prefactor
 
 
@@ -261,12 +272,14 @@ def _residual_vector(
     offset: float | None,
 ) -> tuple[np.ndarray, list]:
     """(residual, terms): the residual rows, and each observation's
-    _model_terms for _jacobian at the same point.  The terms are evaluated
-    once per distinct detuning array; arrays match by identity or equal
-    values, never by grid equality, since a from_values grid keeps its own
-    samples."""
+    _model_terms for _jacobian at the same point.  A complex observation's
+    2N rows are diff.view(float), Re and Im of each sample in turn.  The
+    terms are evaluated once per distinct detuning array; arrays match by
+    identity or equal values, never by grid equality, since a from_values
+    grid keeps its own samples."""
+    residual = np.empty(sum(obs.residual_size for obs in problem.observations))
     terms = []
-    parts = []
+    start = 0
     for obs in problem.observations:
         drive = obs.drive if offset is None else replace(obs.drive, phase_offset=offset)
         detunings = obs.grid.values
@@ -278,19 +291,20 @@ def _residual_vector(
         terms.append(shared)
         _, _, den, pump_scale, _, t_probe, _, prefactor = shared
         model = prefactor * (t_probe + _drive_coefficient(pump_scale, drive) / den)
+        rows = residual[start : start + obs.residual_size]
         if obs.has_phase:
-            diff = model - obs.values
-            parts.append(diff.real)
-            parts.append(diff.imag)
+            np.subtract(model, obs.values, out=rows.view(complex))
         else:
-            parts.append(np.abs(model) - obs.values)
-    return np.concatenate(parts), terms
+            np.subtract(np.abs(model), obs.values, out=rows)
+        start += obs.residual_size
+    return residual, terms
 
 
 def _response_partials(name, drive, c, zc, zm, g, kappa_c1, kappa_m1):
     """(dN/dp, dden/dp) for a parameter p of t = 1 + N/den, where
     N = c - 2*kappa_c1*zm and c is the pump coefficient of this drive; the
-    rates and p are in the same scaled units as zc, zm and c."""
+    rates and p are in the same scaled units as zc, zm and c.  dden/dp is
+    None where den does not depend on p."""
     if name == "coupling_g":
         # c is linear in g, so dc/dg is c at unit coupling
         unit_scale = 2.0 * math.sqrt(kappa_c1 * kappa_m1)
@@ -300,16 +314,16 @@ def _response_partials(name, drive, c, zc, zm, g, kappa_c1, kappa_m1):
     if name == "kappa_m":
         return -2.0 * kappa_c1, zc
     if name == "kappa_c1":
-        return c / (2.0 * kappa_c1) - 2.0 * zm, 0.0
+        return c / (2.0 * kappa_c1) - 2.0 * zm, None
     if name == "kappa_m1":
-        return c / (2.0 * kappa_m1), 0.0
+        return c / (2.0 * kappa_m1), None
     # Delta_m = Delta + magnon_freq - cavity_freq: the two frequencies enter
     # only through their difference, and their columns are exact negatives
     if name == "cavity_freq":
         return 2j * kappa_c1, -1j * zc
     if name == "magnon_freq":
         return -2j * kappa_c1, 1j * zc
-    return -1j * c, 0.0  # phase_offset
+    return -1j * c, None  # phase_offset
 
 
 def _jacobian(
@@ -328,13 +342,19 @@ def _jacobian(
     taken in the core's scaled units, so a column of a SystemParams field
     (a rate in MHz) carries the exact factor 2^-exponent.  Magnitude rows
     are Re(conj(model) * dmodel) / |model|, and 0 where the model vanishes.
+
+    J^T is one (n, m) float buffer, and each parameter's row of it is
+    written in place.  A complex observation's 2N-wide block is viewed as
+    n complex rows of dmodel, so its rows of J interleave Re and Im of each
+    sample, as the residual's do.  Returns the (m, n) transpose view.
     """
-    blocks = []
-    for obs, (zc, zm, den, pump_scale, exponent, _, rotation, prefactor) in zip(
-        problem.observations, terms
+    sizes = [obs.residual_size for obs in problem.observations]
+    jac_t = np.empty((len(problem.free), sum(sizes)))
+    start = 0
+    for obs, size, (zc, zm, den, pump_scale, exponent, _, rotation, prefactor) in zip(
+        problem.observations, sizes, terms
     ):
         drive = obs.drive if offset is None else replace(obs.drive, phase_offset=offset)
-        detunings = obs.grid.values
         g, kappa_c1, kappa_m1 = (
             math.ldexp(rate, -exponent)
             for rate in (params.coupling_g, params.kappa_c1, params.kappa_m1)
@@ -345,25 +365,33 @@ def _jacobian(
         model = prefactor * t
         per_den = prefactor / den
         per_rate = per_den * math.ldexp(1.0, -exponent)
-        dmodel = np.empty((len(problem.free), detunings.size), dtype=complex)
-        for k, name in enumerate(problem.free):
+        block = jac_t[:, start : start + size]
+        start += size
+        if obs.has_phase:
+            dmodel = block.view(complex)
+        else:  # reduced to the magnitude rows below
+            dmodel = np.empty((len(problem.free), model.size), dtype=complex)
+        for out, name in zip(dmodel, problem.free):
             if name == "amplitude_scale":
-                dmodel[k] = rotation * t
+                np.multiply(rotation, t, out=out)
             elif name == "phase_slope":
-                dmodel[k] = 1j * detunings * model
+                np.multiply(1j * obs.grid.values, model, out=out)
             else:
                 d_num, d_den = _response_partials(name, drive, c, zc, zm, g, kappa_c1, kappa_m1)
                 scale = per_den if name == "phase_offset" else per_rate
-                dmodel[k] = scale * (d_num - q * d_den)
-        if obs.has_phase:
-            blocks += [dmodel.real.T, dmodel.imag.T]
-        else:
+                if d_den is None:
+                    np.multiply(scale, d_num, out=out)
+                else:
+                    np.multiply(q, d_den, out=out)
+                    np.subtract(d_num, out, out=out)
+                    np.multiply(scale, out, out=out)
+        if not obs.has_phase:
             magnitude = np.abs(model)
             weight = np.divide(
                 model.conj(), magnitude, out=np.zeros_like(model), where=magnitude > 0.0
             )
-            blocks.append((weight * dmodel).real.T)
-    return np.concatenate(blocks)
+            block[...] = np.multiply(weight, dmodel, out=dmodel).real
+    return jac_t.T
 
 
 def _trial_residual(problem, initial, x, lower):
@@ -395,11 +423,12 @@ def _levenberg_marquardt(problem: FitProblem, initial: SystemParams, x, lower):
     while True:
         jac = _jacobian(problem, *point, terms)
         gradient, gram = jac.T @ residual, jac.T @ jac
-        norms = np.linalg.norm(jac, axis=0)
+        norms = np.sqrt(np.diag(gram))
         if scale is None:
             scale = np.where(norms > 0.0, norms, 1.0)
         scale = np.maximum(scale, norms)
-        if message is None and np.max(np.abs(gradient)) < _TOLERANCE:
+        # scaled by D, so that rescaling a parameter's units leaves it alone
+        if message is None and np.max(np.abs(gradient) / scale) < _TOLERANCE:
             message = "gradient below tolerance"
         if message is not None:
             return x, point, residual, jac, gradient, norms, evaluations, True, message
@@ -454,6 +483,13 @@ def fit_parameters(
     background prefactor) once per distinct detuning grid and shares them
     across the observations taken on it; the Jacobian at an accepted point
     reuses them.
+
+    The stop tests are scale-free: scaling every rate, frequency and
+    detuning by a power of two 2^k scales the fitted rates and frequencies
+    by 2^k and leaves converged, message and n_evaluations unchanged (the
+    tests hold this bit for bit for k from -20 to 60).  The limit is the
+    absolute 1e-9 floor on the starting rates: a start whose smallest free
+    rate is near 1 is rejected below about k = -30.
     """
     free = list(problem.free)
     if "phase_slope" in free and not any(o.has_phase for o in problem.observations):
@@ -498,20 +534,23 @@ def fit_parameters(
 
 
 def _standard_errors(jac: np.ndarray, residual_norm: float) -> list[float]:
-    """Standard errors from an SVD of the column-scaled Jacobian.
+    """Standard errors from the singular values of the column-scaled Jacobian.
 
-    Singular values at or below _NULL_SPACE_RTOL times the largest span the
-    numerical null space; a parameter whose unit vector has a component above
-    _NULL_COMPONENT_TOL in it is not identified and gets inf.  The others get
-    the square root of the diagonal of the pseudo-inverse covariance
-    (J^T J)^+ * residual_norm**2 / (m - n).
+    They are taken from the n by n R factor of its QR decomposition, which
+    has the same singular values and right singular vectors as the m by n
+    Jacobian.  Singular values at or below _NULL_SPACE_RTOL times the
+    largest span the numerical null space; a parameter whose unit vector has
+    a component above _NULL_COMPONENT_TOL in it is not identified and gets
+    inf.  The others get the square root of the diagonal of the
+    pseudo-inverse covariance (J^T J)^+ * residual_norm**2 / (m - n).
     """
     m, n = jac.shape
     if m <= n:
         return [math.inf] * n
     norms = np.linalg.norm(jac, axis=0)
     scale = np.where(norms > 0.0, norms, 1.0)
-    _, singular, vt = np.linalg.svd(jac / scale, full_matrices=False)
+    r = np.linalg.qr(jac / scale, mode="r")
+    _, singular, vt = np.linalg.svd(r)
     null = singular <= _NULL_SPACE_RTOL * singular[0]
     unidentified = np.linalg.norm(vt[null], axis=0) > _NULL_COMPONENT_TOL
     inverse_diag = np.sum((vt[~null] / singular[~null, None]) ** 2, axis=0)

@@ -884,8 +884,8 @@ def test_dispatch_property_on_generated_configs(
         write_trace(sample, data, TraceFormat.TOUCHSTONE_S1P, metadata={"delta": "1"})
         commands = [
             ["spectrum", *drive],
-            ["map", "--axis", "ratio", _values_option(ratios)],
-            ["map", "--axis", "phase", _values_option(phases)],
+            ["map", "--axis", "ratio", _values_option(ratios), *drive],
+            ["map", "--axis", "phase", _values_option(phases), *drive],
             ["delay", *drive],
             ["delay", "--method", "fd", *drive],
             ["classify", *drive],

@@ -64,7 +64,7 @@ def residual_reference(problem, params, background, offset):
         model = background.apply(trace(params, drive, obs.grid).t, obs.grid.values)
         if obs.has_phase:
             diff = model - obs.values
-            parts += [diff.real, diff.imag]
+            parts.append(diff.view(float))  # Re and Im of each sample in turn
         else:
             parts.append(np.abs(model) - obs.values)
     return np.concatenate(parts)
@@ -277,13 +277,18 @@ class TestResidualExactness:
         )
         return FitProblem(observations=tuple(observations))
 
-    def _check(self, params, grids):
+    def _check(self, params, grids, background=BACKGROUND):
         problem = self._problem(params, grids)
         candidate = _perturbed(params)
         for offset in (None, 0.4):
-            result, _ = _residual_vector(problem, candidate, self.BACKGROUND, offset)
-            expected = residual_reference(problem, candidate, self.BACKGROUND, offset)
+            result, _ = _residual_vector(problem, candidate, background, offset)
+            expected = residual_reference(problem, candidate, background, offset)
             assert np.array_equal(result, expected)
+
+    def test_default_background_skips_the_rotation(self, params):
+        # phase_slope = 0 and amplitude_scale = 1: no exp, same bits
+        grid = DetuningGrid(-60.0, 60.0, 241)
+        self._check(params, [grid, grid, DetuningGrid(-25.0, 35.0, 151)], BackgroundModel())
 
     def test_one_shared_grid_object(self, params):
         grid = DetuningGrid(-60.0, 60.0, 241)
@@ -436,6 +441,30 @@ class TestJacobian:
         assert not np.any(jac[-rows:])
 
 
+def _benchmark_problem(case, rng):
+    """Three noisy traces of the reference device as the benchmark draws
+    them: complex at 40 dB, or their magnitudes, with the default free set."""
+    observations = tuple(
+        synthesize_trace(REFERENCE, d, GRID, noise=NoiseModel(40.0), rng=rng) for d in _drives()
+    )
+    if case == "magnitude4":
+        observations = tuple(
+            FitObservation(grid=o.grid, values=np.abs(o.values), drive=o.drive, has_phase=False)
+            for o in observations
+        )
+    return FitProblem(observations=observations)
+
+
+def _rescaled(problem, initial, k):
+    """The same problem and start with every rate, frequency and detuning
+    scaled by 2^k, which leaves every trace sample unchanged."""
+    grid = DetuningGrid(math.ldexp(GRID.start, k), math.ldexp(GRID.stop, k), GRID.count)
+    observations = tuple(replace(o, grid=grid) for o in problem.observations)
+    fields = fit_module._SYSTEM_FIELDS
+    start = replace(initial, **{n: math.ldexp(getattr(initial, n), k) for n in fields})
+    return replace(problem, observations=observations), start
+
+
 def _complex9_problem(seed):
     """Three 30 dB traces with all five rates, both mode frequencies and the
     background free."""
@@ -455,6 +484,23 @@ class TestConvergedFlag:
     def test_noisy_nine_parameter_fits_converge(self, seed):
         result = fit_parameters(_complex9_problem(seed), _perturbed(REFERENCE))
         assert result.converged, result.message
+
+    @pytest.mark.parametrize("k", [-20, 20, 40, 60])
+    @pytest.mark.parametrize("case", ["complex4", "magnitude4"])
+    def test_unit_rescaling_keeps_the_fit(self, case, k):
+        # the gradient stop test divides by the column scale D, so units do not move it
+        problem = _benchmark_problem(case, np.random.default_rng(1))
+        start = _perturbed(REFERENCE)
+        expected = fit_parameters(problem, start)
+        result = fit_parameters(*_rescaled(problem, start, k))
+        assert expected.converged
+        assert (result.converged, result.message, result.n_evaluations) == (
+            expected.converged,
+            expected.message,
+            expected.n_evaluations,
+        )
+        for name in problem.free:
+            assert result.values[name] == math.ldexp(expected.values[name], k), name
 
     def test_evaluation_cap_is_not_convergence(self, monkeypatch):
         # one free parameter: the start and a single trial step
@@ -565,3 +611,52 @@ class TestSolverReference:
             assert offset == pytest.approx(
                 expected["magnon_freq"] - expected["cavity_freq"], rel=1e-5
             )
+
+
+def _svd_standard_errors(jac, residual_norm):
+    """_standard_errors as an SVD of the whole m by n Jacobian."""
+    m, n = jac.shape
+    norms = np.linalg.norm(jac, axis=0)
+    scale = np.where(norms > 0.0, norms, 1.0)
+    _, singular, vt = np.linalg.svd(jac / scale, full_matrices=False)
+    null = singular <= fit_module._NULL_SPACE_RTOL * singular[0]
+    unidentified = np.linalg.norm(vt[null], axis=0) > fit_module._NULL_COMPONENT_TOL
+    inverse_diag = np.sum((vt[~null] / singular[~null, None]) ** 2, axis=0)
+    errors = np.sqrt(inverse_diag * (residual_norm**2 / (m - n))) / scale
+    return [math.inf if bad else float(e) for bad, e in zip(unidentified, errors)]
+
+
+class TestStandardErrors:
+    """stderr from the R factor of a QR against the SVD of the Jacobian."""
+
+    @staticmethod
+    def _assert_matches_the_svd(problem, initial):
+        result = fit_parameters(problem, initial)
+        x = np.array([result.values[n] for n in problem.free])
+        point = _candidate(problem, initial, x)
+        residual, terms = _residual_vector(problem, *point)
+        jac = _jacobian(problem, *point, terms)
+        residual_norm = float(np.linalg.norm(residual))
+        errors = fit_module._standard_errors(jac, residual_norm)
+        expected = _svd_standard_errors(jac, residual_norm)
+        assert [math.isinf(e) for e in errors] == [math.isinf(e) for e in expected]
+        for name, error, reference in zip(problem.free, errors, expected):
+            if math.isfinite(reference):
+                assert error == pytest.approx(reference, rel=1e-10, abs=0.0), name
+        return errors
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_both_mode_frequencies_free(self, seed):
+        errors = self._assert_matches_the_svd(_complex9_problem(seed), _perturbed(REFERENCE))
+        free = COMPLEX9_FREE
+        assert errors[free.index("cavity_freq")] == errors[free.index("magnon_freq")] == math.inf
+
+    def test_a_parameter_the_data_never_touches(self, params):
+        # with the pump off, kappa_m1 never enters the response
+        obs = synthesize_trace(
+            params, DriveField(ratio_delta=0.0), GRID, noise=NoiseModel(60.0), rng=3
+        )
+        problem = FitProblem(observations=(obs,), free=("kappa_c", "kappa_m1", "coupling_g"))
+        errors = self._assert_matches_the_svd(problem, replace(params, kappa_c=100.0))
+        assert errors[1] == math.inf
+        assert math.isfinite(errors[0]) and math.isfinite(errors[2])
