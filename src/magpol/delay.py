@@ -37,9 +37,7 @@ measured on).  There a 4001-sample row cost about 30 us inside a block and
 scan's 81 ratios x 4001 samples, blocks of 2^14 and 2^15 samples were alike
 within the spread; 2^16 and 2^17 (about 2.6 and 5 MB) no longer fit in L2
 and were slower, and 2^13 or fewer paid the Python around each block too
-often.  On grids above 2^14 samples a block would hold one ratio, and the
-scan makes single-pump calls instead: a one-row block cost about 5 us more
-per ratio there, for its 2-d views and index arrays.
+often.
 
 Zeros of t_p in the (pump ratio, detuning) plane are found in closed form:
 at fixed effective phase, Im t_p = 0 is linear in the detuning and Re t_p = 0
@@ -94,14 +92,13 @@ class _DelayKernel:
     the guard limit ZERO_GUARD^2 * |den|^2) is built once as contiguous
     float64 arrays; Im dnum is a constant.  A call takes one complex pump
     term, or a 1-d block of up to `rows` of them, and costs eleven ufunc
-    calls on four preallocated (rows, N) buffers (one pump uses their
-    first rows as 1-d arrays), with no complex division, complex temporary
-    or boolean-index copy; the cross term overwrites num in place, which
-    moves less memory than writing a fifth buffer.  A block broadcasts the
-    drive-free rows against a column of pumps, and every ufunc here rounds
-    each element on its own, so row i has the bits of a call with pump i
-    alone.  The diverged mask is built only on request, from the last
-    call's |num|^2.
+    calls on four preallocated (rows, N) buffers, with no complex division,
+    complex temporary or boolean-index copy; the cross term overwrites num
+    in place, which moves less memory than writing a fifth buffer.  A block
+    broadcasts the drive-free rows against a column of pumps, and every
+    ufunc here rounds each element on its own, so row i has the bits of a
+    call with pump i alone.  The diverged mask is built only on request,
+    from the last call's |num|^2.
 
     Works in the core's scaled units (near 1e-170 MHz the unscaled |den|
     underflows to 0) and scales the delay back by dividing by
@@ -135,17 +132,13 @@ class _DelayKernel:
         gives one delay per sample; a 1-d array of k <= rows pumps gives a
         (k, N) block, row i for pump i."""
         pump = np.asarray(pump)
+        column = pump.reshape(-1, 1)
         buffers = self._buffers
-        if pump.size < buffers[0].shape[0]:
-            buffers = [buffer[: pump.size] for buffer in buffers]
-        self._num_sq = buffers[2]
-        if pump.ndim:
-            pump = pump.reshape(-1, 1)
-        else:  # 1-d rows, which cost less per call than a (1, N) block
-            buffers = [buffer[0] for buffer in buffers]
+        if column.shape[0] < buffers[0].shape[0]:
+            buffers = [buffer[: column.shape[0]] for buffer in buffers]
         num_re, num_im, num_sq, scratch = buffers
-        np.add(self._base_re, pump.real, out=num_re)
-        np.add(self._base_im, pump.imag, out=num_im)
+        np.add(self._base_re, column.real, out=num_re)
+        np.add(self._base_im, column.imag, out=num_im)
         np.multiply(num_re, num_re, out=num_sq)
         np.multiply(num_im, num_im, out=scratch)
         np.add(num_sq, scratch, out=num_sq)
@@ -156,7 +149,8 @@ class _DelayKernel:
             np.divide(delay, num_sq, out=delay)  # inf or nan where num is 0
         np.subtract(self._q, delay, out=delay)
         np.divide(delay, self.divisor, out=delay)
-        return delay
+        self._num_sq = num_sq
+        return delay if pump.ndim else delay[0]
 
     def diverges_at(self, index, row=0):
         """Whether sample index of the last call's row-th pump is at or
@@ -353,9 +347,9 @@ def delay_extremum_vs_ratio(
     For each ratio the analytic delay trace is computed on the grid and the
     sample of largest |delay| that is not diverged is reported with its sign.
     One _DelayKernel serves every ratio, so the drive-free terms are built
-    once, and it takes the ratios in blocks of about _BLOCK_SAMPLES samples,
-    or one at a time through the kernel's 1-d call where a block would hold
-    a single ratio; the result equals the per-ratio group_delay exactly.
+    once, and it takes the ratios in blocks of about _BLOCK_SAMPLES samples
+    (at least one ratio per block); the result equals the per-ratio
+    group_delay exactly.
 
     The diverged mask is built only for a ratio whose plain argmax of
     |delay| lands on a diverged sample.  Otherwise that argmax is the
@@ -385,19 +379,9 @@ def delay_extremum_vs_ratio(
     pumps = np.array(
         [_pump_term(kernel.pump_scale, ratio, phase) for ratio in ratio_values.tolist()]
     )
-    out = np.empty(ratio_values.size)
-    if rows == 1:  # the kernel's 1-d call costs less than a one-row block
-        magnitude = np.empty(grid.count)
-        for i, pump in enumerate(pumps):
-            delay = kernel(pump)
-            np.absolute(delay, out=magnitude)
-            pick = int(np.argmax(magnitude))
-            if kernel.diverges_at(pick):
-                pick = _masked_pick(kernel, magnitude, 0, ratio_values[i])
-            out[i] = delay[pick]
-        return out
     magnitude = np.empty((rows, grid.count))
     index = np.arange(rows)
+    out = np.empty(ratio_values.size)
     for start in range(0, ratio_values.size, rows):
         delay = kernel(pumps[start : start + rows])
         if delay.shape[0] < rows:  # the last block
@@ -405,21 +389,13 @@ def delay_extremum_vs_ratio(
         np.absolute(delay, out=magnitude)
         picks = np.argmax(magnitude, axis=1)
         for row in np.flatnonzero(kernel.diverges_at(picks, index)):
-            picks[row] = _masked_pick(kernel, magnitude[row], row, ratio_values[start + row])
+            diverged = kernel.diverged(row)
+            np.putmask(magnitude[row], diverged, -1.0)
+            picks[row] = np.argmax(magnitude[row])
+            if diverged[picks[row]]:
+                raise DomainError(f"all samples diverged at ratio {float(ratio_values[start + row])}")
         out[start : start + rows] = delay[index, picks]
     return out
-
-
-def _masked_pick(kernel: _DelayKernel, magnitude: np.ndarray, row: int, ratio) -> int:
-    """The argmax of |delay| over the samples of the last call's row-th pump
-    that do not diverge; magnitude holds that row's |delay|, and its
-    diverged entries are overwritten."""
-    diverged = kernel.diverged(row)
-    np.putmask(magnitude, diverged, -1.0)
-    pick = int(np.argmax(magnitude))
-    if diverged[pick]:
-        raise DomainError(f"all samples diverged at ratio {float(ratio)}")
-    return pick
 
 
 class TransitionSign(enum.Enum):

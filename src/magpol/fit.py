@@ -484,12 +484,17 @@ def fit_parameters(
     across the observations taken on it; the Jacobian at an accepted point
     reuses them.
 
-    The stop tests are scale-free: scaling every rate, frequency and
-    detuning by a power of two 2^k scales the fitted rates and frequencies
-    by 2^k and leaves converged, message and n_evaluations unchanged (the
-    tests hold this bit for bit for k from -20 to 60).  The limit is the
-    absolute 1e-9 floor on the starting rates: a start whose smallest free
-    rate is near 1 is rejected below about k = -30.
+    The gradient stop test divides by the column scale D.  When every free
+    parameter is a rate or frequency, scaling every rate, frequency and
+    detuning by a power of two 2^k scales the fitted values by 2^k and
+    leaves converged, message and n_evaluations unchanged (the tests hold
+    this bit for bit for the default free set at k = -20, 20, 40 and 60).
+    With amplitude_scale, phase_offset or phase_slope free the columns
+    scale unequally, and the step test and the solve of the damped normal
+    equations see unscaled x, so a rescaled fit may stop on another test
+    after another number of evaluations.  The absolute 1e-9 floors on the
+    starting rates reject a start whose smallest free rate is near 1 below
+    about k = -30.
     """
     free = list(problem.free)
     if "phase_slope" in free and not any(o.has_phase for o in problem.observations):
