@@ -8,105 +8,74 @@ matching swings in group delay.  This package computes the closed-form
 complex reflection, classifies the interference regime, finds
 zero-reflection points, and fits the model to measured traces, with an
 independent ODE integrator for cross-checks.
+
+The public names load on first use (PEP 562): `import magpol` imports no
+submodule, and `magpol.fit_parameters` imports `magpol.fit` when it is
+first read, so a command pays only for the modules it runs.
 """
 
-from .config import RunConfig, load_config, parse_config, parse_phase
-from .delay import (
-    DelayTrace,
-    TransitionReport,
-    TransitionSign,
-    ZeroReflectionPoint,
-    delay_at,
-    delay_extremum_vs_ratio,
-    detect_abrupt_transition,
-    find_zero_reflection,
-    group_delay,
-)
-from .errors import (
-    ConfigError,
-    DomainError,
-    IntegrationTimeout,
-    MagpolError,
-    TraceParseError,
-)
-from .fit import (
-    BackgroundModel,
-    FitObservation,
-    FitProblem,
-    FitResult,
-    NoiseModel,
-    fit_parameters,
-    synthesize_trace,
-)
-from .io import TraceFile, TraceFormat, read_trace, write_trace
-from .model import (
-    DriveField,
-    ModeAmplitudes,
-    SystemParams,
-    output_field,
-    transmission,
-)
-from .oracle import IntegratorConfig, integrate_to_steady, kernel_backend, oracle_transmission
-from .spectra import (
-    DetuningGrid,
-    RegimeLabel,
-    SpectrumTrace,
-    SweepAxis,
-    SweepMap,
-    classify_regime,
-    default_grid,
-    sweep,
-    trace,
-)
+import importlib
+
+# The public names, by the submodule that defines them.
+_EXPORTS = {
+    "config": ("RunConfig", "load_config", "parse_config", "parse_phase"),
+    "delay": (
+        "DelayTrace",
+        "TransitionReport",
+        "TransitionSign",
+        "ZeroReflectionPoint",
+        "delay_at",
+        "delay_extremum_vs_ratio",
+        "detect_abrupt_transition",
+        "find_zero_reflection",
+        "group_delay",
+    ),
+    "errors": (
+        "ConfigError",
+        "DomainError",
+        "IntegrationTimeout",
+        "MagpolError",
+        "TraceParseError",
+    ),
+    "fit": (
+        "BackgroundModel",
+        "FitObservation",
+        "FitProblem",
+        "FitResult",
+        "NoiseModel",
+        "fit_parameters",
+        "synthesize_trace",
+    ),
+    "io": ("TraceFile", "TraceFormat", "read_trace", "write_trace"),
+    "model": ("DriveField", "ModeAmplitudes", "SystemParams", "output_field", "transmission"),
+    "oracle": ("IntegratorConfig", "integrate_to_steady", "kernel_backend", "oracle_transmission"),
+    "spectra": (
+        "DetuningGrid",
+        "RegimeLabel",
+        "SpectrumTrace",
+        "SweepAxis",
+        "SweepMap",
+        "classify_regime",
+        "default_grid",
+        "sweep",
+        "trace",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BackgroundModel",
-    "ConfigError",
-    "DelayTrace",
-    "DetuningGrid",
-    "DomainError",
-    "DriveField",
-    "FitObservation",
-    "FitProblem",
-    "FitResult",
-    "IntegrationTimeout",
-    "IntegratorConfig",
-    "MagpolError",
-    "ModeAmplitudes",
-    "NoiseModel",
-    "RegimeLabel",
-    "RunConfig",
-    "SpectrumTrace",
-    "SweepAxis",
-    "SweepMap",
-    "SystemParams",
-    "TraceFile",
-    "TraceFormat",
-    "TraceParseError",
-    "TransitionReport",
-    "TransitionSign",
-    "ZeroReflectionPoint",
-    "classify_regime",
-    "default_grid",
-    "delay_at",
-    "delay_extremum_vs_ratio",
-    "detect_abrupt_transition",
-    "find_zero_reflection",
-    "fit_parameters",
-    "group_delay",
-    "integrate_to_steady",
-    "kernel_backend",
-    "load_config",
-    "oracle_transmission",
-    "output_field",
-    "parse_config",
-    "parse_phase",
-    "read_trace",
-    "sweep",
-    "synthesize_trace",
-    "trace",
-    "transmission",
-    "write_trace",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

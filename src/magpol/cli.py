@@ -5,6 +5,9 @@ Data goes to stdout (or --output); diagnostics go to stderr.  Exit codes:
 0 success, 1 domain or data error, 2 usage error.  Identical inputs produce
 byte-identical output: numbers print with 17 significant digits and nothing
 time- or locale-dependent is emitted.
+
+delay, fit, io and oracle are imported inside the handlers that use them,
+so a cold command loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -15,10 +18,6 @@ import sys
 
 import numpy as np
 
-from . import delay as delay_mod
-from . import fit as fit_mod
-from . import io as io_mod
-from . import oracle as oracle_mod
 from . import spectra
 from .config import (
     _OVERRIDE_KEYS,
@@ -26,11 +25,12 @@ from .config import (
     _drive_metadata,
     _override_drive,
     _parse_value,
+    _rows,
     load_config,
     parse_phase,
 )
+from .config import _format_number as _fmt
 from .errors import MagpolError
-from .io import _format_number as _fmt
 from .model import DriveField, SystemParams, transmission
 
 # The most samples a map renders: as many as the largest grid's spectrum.
@@ -145,11 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="trace file; repeat for a joint fit (drive read from s1p metadata)",
     )
-    p.add_argument(
-        "--free",
-        default=",".join(fit_mod.DEFAULT_FREE),
-        help="comma-separated free parameter names",
-    )
+    p.add_argument("--free", help="comma-separated free parameter names")
 
     p = sub.add_parser("oracle-check", help="compare analytic and integrated responses")
     _add_config_option(p)
@@ -179,12 +175,13 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
+    from . import io as io_mod
+
     drive = _drive(config, args)
     trace = spectra.trace(config.system, drive, config.grid)
     if args.format == "s1p":
-        metadata = {key: _fmt(value) for key, value in _drive_metadata(drive).items()}
         text = io_mod.render_touchstone(
-            trace, cavity_freq=config.system.cavity_freq, metadata=metadata
+            trace, cavity_freq=config.system.cavity_freq, metadata=_drive_metadata(drive)
         )
     else:
         text = io_mod.render_csv(trace)
@@ -210,26 +207,32 @@ def _cmd_map(config: RunConfig, args: argparse.Namespace) -> int:
         raise MagpolError(f"invalid sweep value: {exc}") from exc
     sweep = spectra.sweep(config.system, drive, axis, values, config.grid)
     lines = [f"{args.axis},detuning_mhz,re,im,magnitude,db"]
-    for value, trace in zip(sweep.axis_values, sweep.traces):
+    # each axis value and detuning is formatted once, not once per row
+    detunings = [_fmt(value) for value in sweep.grid.values.tolist()]
+    for value, trace in zip(sweep.axis_values.tolist(), sweep.traces):
         t = trace.t
-        lines += io_mod._rows(
-            [np.full(t.size, value), trace.grid.values, t.real, t.imag, trace.magnitude, trace.db]
-        )
+        head = _fmt(value)
+        rows = _rows([t.real, t.imag, trace.magnitude, trace.db])
+        lines += [f"{head},{detuning},{row}" for detuning, row in zip(detunings, rows)]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
 def _cmd_delay(config: RunConfig, args: argparse.Namespace) -> int:
+    from . import delay as delay_mod
+
     drive = _drive(config, args)
     method = "analytic" if args.method == "analytic" else "finite-difference"
     trace = delay_mod.group_delay(config.system, drive, config.grid, method=method)
     lines = ["detuning_mhz,delay_us,magnitude"]
-    lines += io_mod._rows([trace.grid.values, trace.delay, np.abs(trace.t)])
+    lines += _rows([trace.grid.values, trace.delay, np.abs(trace.t)])
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
 def _cmd_zero(config: RunConfig, args: argparse.Namespace) -> int:
+    from . import delay as delay_mod
+
     point = delay_mod.find_zero_reflection(
         config.system, args.phase_eff, max_ratio=args.max_ratio
     )
@@ -251,9 +254,11 @@ def _cmd_classify(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _observation_from_file(
-    path: str, config: RunConfig
-) -> fit_mod.FitObservation:
+def _observation_from_file(path: str, config: RunConfig):
+    """The fit.FitObservation of one trace file, its drive from the file's metadata."""
+    from . import fit as fit_mod
+    from . import io as io_mod
+
     info, trace = io_mod.read_trace(path, cavity_freq=config.system.cavity_freq)
     meta = info.metadata
     try:
@@ -265,8 +270,13 @@ def _observation_from_file(
 
 
 def _cmd_fit(config: RunConfig, args: argparse.Namespace) -> int:
+    from . import fit as fit_mod
+
     observations = [_observation_from_file(path, config) for path in args.data]
-    free = tuple(name.strip() for name in args.free.split(",") if name.strip())
+    if args.free is None:
+        free = fit_mod.DEFAULT_FREE
+    else:
+        free = tuple(name.strip() for name in args.free.split(",") if name.strip())
     problem = fit_mod.FitProblem(observations=tuple(observations), free=free)
     result = fit_mod.fit_parameters(problem, config.system)
     lines = [
@@ -284,6 +294,8 @@ def _cmd_fit(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(config: RunConfig, args: argparse.Namespace) -> int:
+    from . import oracle as oracle_mod
+
     if args.count < 1:
         raise MagpolError("count must be at least 1")
     system = config.system

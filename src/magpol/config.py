@@ -23,12 +23,17 @@ the `1.35pi` shorthand.  [system] requires the five rates; frequencies
 default to 0 (detuning convention).  [drive] and [grid] may be omitted
 entirely, giving delta = 0, phi = 0, phi0 = pi, probe_amp = 1 and a
 [-60, 60] MHz grid of 1201 points.
+
+Numbers are also written as text here: every command and trace file prints
+them with _format_number or _rows, 17 significant digits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields, replace
+
+import numpy as np
 
 from .errors import ConfigError, DomainError
 from .model import DriveField, SystemParams
@@ -92,6 +97,21 @@ def parse_phase(text: str) -> float:
     return value
 
 
+# 17 significant digits reproduce every double bitwise when parsed back.
+# "%.17g" % x is format(x, ".17g"), including for signed zeros, nan and inf.
+_NUMBER = "%.17g"
+
+
+def _format_number(value: float) -> str:
+    return _NUMBER % value
+
+
+def _rows(columns, sep: str = ",") -> list[str]:
+    """One line per row of equal-length float columns, numbers as _format_number."""
+    row = sep.join([_NUMBER] * len(columns))
+    return [row % tuple(values) for values in np.column_stack(columns).tolist()]
+
+
 def _parse_value(key: str, text: str) -> float:
     """The value of a config, override or metadata key given as text:
     parse_phase for a phase, float otherwise.  ValueError when malformed."""
@@ -104,9 +124,9 @@ def _override_drive(drive: DriveField, overrides: dict[str, float]) -> DriveFiel
     return replace(drive, **{_DRIVE_KEYS[key]: value for key, value in overrides.items()})
 
 
-def _drive_metadata(drive: DriveField) -> dict[str, float]:
-    """The drive's values under _OVERRIDE_KEYS, as s1p metadata carries them."""
-    return {key: getattr(drive, _DRIVE_KEYS[key]) for key in _OVERRIDE_KEYS}
+def _drive_metadata(drive: DriveField) -> dict[str, str]:
+    """The drive's values under _OVERRIDE_KEYS, as the text s1p metadata carries."""
+    return {key: _format_number(getattr(drive, _DRIVE_KEYS[key])) for key in _OVERRIDE_KEYS}
 
 
 def _parse_document(text: str) -> dict[str, dict[str, tuple[str, int]]]:

@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import DriveField, SystemParams, _drive_coefficient, _pump_term, _response_terms
-from .spectra import DetuningGrid
+from .spectra import DetuningGrid, _median
 
 ZERO_GUARD = 1e-13
 
@@ -429,7 +429,7 @@ def detect_abrupt_transition(ratio_values, extremal_delays) -> TransitionReport 
     if np.any(np.diff(ratios) <= 0.0):
         raise DomainError("ratio values must be strictly increasing")
     jumps = np.abs(np.diff(delays))
-    median_jump = float(np.median(jumps))
+    median_jump = _median(jumps)
     for i in range(ratios.size - 1):
         if delays[i] * delays[i + 1] < 0.0 and jumps[i] > _JUMP_FACTOR * median_jump:
             sign = (

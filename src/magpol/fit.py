@@ -350,10 +350,10 @@ def _jacobian(
     """
     sizes = [obs.residual_size for obs in problem.observations]
     jac_t = np.empty((len(problem.free), sum(sizes)))
+    scales = {}  # (per_den, per_rate) by terms tuple, shared on one detuning array
     start = 0
-    for obs, size, (zc, zm, den, pump_scale, exponent, _, rotation, prefactor) in zip(
-        problem.observations, sizes, terms
-    ):
+    for obs, size, shared in zip(problem.observations, sizes, terms):
+        zc, zm, den, pump_scale, exponent, _, rotation, prefactor = shared
         drive = obs.drive if offset is None else replace(obs.drive, phase_offset=offset)
         g, kappa_c1, kappa_m1 = (
             math.ldexp(rate, -exponent)
@@ -363,8 +363,10 @@ def _jacobian(
         q = (c - 2.0 * kappa_c1 * zm) / den
         t = 1.0 + q
         model = prefactor * t
-        per_den = prefactor / den
-        per_rate = per_den * math.ldexp(1.0, -exponent)
+        if id(shared) not in scales:
+            per_den = prefactor / den
+            scales[id(shared)] = per_den, per_den * math.ldexp(1.0, -exponent)
+        per_den, per_rate = scales[id(shared)]
         block = jac_t[:, start : start + size]
         start += size
         if obs.has_phase:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import _rows
 from .errors import DomainError, TraceParseError
 from .spectra import DetuningGrid, SpectrumTrace
 
@@ -44,21 +45,6 @@ class TraceFile:
     layout: str = "RI"
     z0: float = 50.0
     metadata: dict[str, str] = field(default_factory=dict)
-
-
-# 17 significant digits reproduce every double bitwise when parsed back.
-# "%.17g" % x is format(x, ".17g"), including for signed zeros, nan and inf.
-_NUMBER = "%.17g"
-
-
-def _format_number(value: float) -> str:
-    return _NUMBER % value
-
-
-def _rows(columns, sep: str = ",") -> list[str]:
-    """One line per row of equal-length float columns, numbers as _format_number."""
-    row = sep.join([_NUMBER] * len(columns))
-    return [row % tuple(values) for values in np.column_stack(columns).tolist()]
 
 
 def _parse_option_line(line: str, lineno: int) -> tuple[str, str, float]:

@@ -232,6 +232,20 @@ def sweep(
     return SweepMap(axis=axis, axis_values=values, grid=grid, traces=tuple(traces))
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a 1-d float array, bit for bit: the same partition
+    (nan sorts last and wins) and the same np.mean of the middle one or two.
+    np.median itself imports numpy.ma on its first call, which a cold
+    command would pay for."""
+    size = values.size
+    half = size // 2
+    odd = size % 2
+    part = np.partition(values, [half, -1] if odd else [half - 1, half, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(np.mean(part[half - 1 + odd : half + 1]))
+
+
 def _outer(samples: np.ndarray) -> np.ndarray:
     """The outer 5% of the samples on each side (at least one per side)."""
     edge = max(1, round(0.05 * samples.size))
@@ -240,7 +254,7 @@ def _outer(samples: np.ndarray) -> np.ndarray:
 
 def baseline_level(spectrum: SpectrumTrace) -> float:
     """Median magnitude over the outer 10% of the grid (5% per side)."""
-    return float(np.median(_outer(spectrum.magnitude)))
+    return _median(_outer(spectrum.magnitude))
 
 
 class RegimeLabel(enum.Enum):
@@ -329,7 +343,7 @@ def classify_regime(
         far = _outer(np.linspace(-half_span, half_span, DEFAULT_GRID_COUNT))
         far_den, far_probe, far_scale = _probe_terms_on(params, far)
         far_t = far_probe + _drive_coefficient(far_scale, drive) / far_den
-        baseline = float(np.median(np.abs(far_t)))
+        baseline = _median(np.abs(far_t))
         peak = float(np.max(measured))
         if peak <= baseline * (1.0 + _AMPLIFICATION_TOL):
             return RegimeLabel.MIT

@@ -7,7 +7,9 @@ script runs a fixed set of invocations on configs/example_device.toml with
 that package in a fresh interpreter each, and prints one line per
 invocation: its name, its exit code, and the sha256 of its stdout and of its
 stderr.  Run it on two checkouts and diff the output; identical lines mean
-byte-identical output.
+byte-identical output.  The parser's own output is fingerprinted too: the
+top-level and each subcommand's --help, and one usage error (exit 2), at a
+fixed 80-column width.
 
 The two s1p files that `fit` reads are written first, in a temporary
 directory, by the same package: noisy traces (40 dB, fixed seed) of a device
@@ -80,6 +82,15 @@ INVOCATIONS = [
     ("fit-nine", ["fit", "--data", "fit-0.s1p", "--data", "fit-1.s1p", "--free", _NINE_FREE]),
 ]
 
+_COMMANDS = ("spectrum", "map", "delay", "zero", "classify", "fit", "oracle-check")
+
+# Run with exactly these arguments: the parser's help and usage text.
+PARSER_INVOCATIONS = [
+    ("help", ["--help"]),
+    *((f"help-{command}", [command, "--help"]) for command in _COMMANDS),
+    ("usage-error", ["spectrum", "--config", "device.toml", "--format", "txt"]),
+]
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -90,7 +101,7 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     src = os.path.abspath(argv[0])
-    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1", COLUMNS="80")
     with tempfile.TemporaryDirectory() as directory:
         shutil.copyfile(CONFIG, os.path.join(directory, "device.toml"))
 
@@ -103,8 +114,11 @@ def main(argv: list[str]) -> int:
             return 1
         for name in ("fit-0.s1p", "fit-1.s1p"):
             print(f"input {name} {_digest(Path(directory, name).read_bytes())}")
-        for name, args in INVOCATIONS:
-            done = run([sys.executable, "-m", "magpol", args[0], "--config", "device.toml", *args[1:]])
+        runs = [
+            (name, [args[0], "--config", "device.toml", *args[1:]]) for name, args in INVOCATIONS
+        ]
+        for name, args in runs + PARSER_INVOCATIONS:
+            done = run([sys.executable, "-m", "magpol", *args])
             print(f"{name} exit={done.returncode} "
                   f"stdout={_digest(done.stdout)} stderr={_digest(done.stderr)}")
     return 0

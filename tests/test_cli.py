@@ -143,8 +143,71 @@ def _run_fresh_python(args):
 
 
 class TestColdImport:
+    def test_import_loads_names_on_first_use(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            import magpol
+
+            assert [m for m in sys.modules if m.startswith("magpol.")] == []
+            for name in magpol.__all__:
+                value = getattr(magpol, name)
+                assert value.__module__.startswith("magpol."), name
+                assert getattr(sys.modules[value.__module__], name) is value, name
+            namespace = {}
+            exec("from magpol import *", namespace)
+            assert set(magpol.__all__) <= set(namespace)
+            try:
+                magpol.no_such_name
+            except AttributeError as exc:
+                assert "no_such_name" in str(exc)
+            else:
+                raise AssertionError("no AttributeError")
+            """
+        )
+        result = _run_fresh_python(["-c", script])
+        assert result.returncode == 0, result.stderr
+
+    def test_cli_import_loads_no_handler_module(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            from magpol.cli import main
+
+            handlers = ["magpol.delay", "magpol.fit", "magpol.io", "magpol.oracle"]
+            loaded = [m for m in handlers if m in sys.modules]
+            assert not loaded, loaded
+            """
+        )
+        result = _run_fresh_python(["-c", script])
+        assert result.returncode == 0, result.stderr
+
+    def test_classify_and_zero_load_neither_fit_nor_io(self, tmp_path):
+        config = _write_config(tmp_path / "device.toml")
+        script = textwrap.dedent(
+            f"""
+            import contextlib, io, sys
+            import magpol.cli
+
+            runs = [
+                ["classify", "--config", {config!r}, "--delta", "2.1", "--phi", "1.35pi"],
+                ["zero", "--config", {config!r}, "--phase-eff", "1.35pi"],
+            ]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                codes = [magpol.cli.dispatch(argv) for argv in runs]
+            assert codes == [0, 0], codes
+            assert out.getvalue().split()[0] == "MIAMP", out.getvalue()
+            loaded = [m for m in ("magpol.fit", "magpol.io") if m in sys.modules]
+            assert not loaded, loaded
+            """
+        )
+        result = _run_fresh_python(["-c", script])
+        assert result.returncode == 0, result.stderr
+
     def test_no_command_imports_scipy(self, tmp_path):
-        # magpol runs on numpy alone; scipy is a test-only reference
+        # magpol runs on numpy alone; scipy is a test-only reference.  Nor
+        # does any command load numpy.ma, which np.median imports on first use.
         config = _write_config(tmp_path / "device.toml", grid_count=101)
         guess = _write_config(tmp_path / "guess.toml", grid_count=101, g=7.0)
         traces = []
@@ -167,10 +230,13 @@ class TestColdImport:
                 [command, "--config", {config!r}, *options]
                 for command, *options in (
                     ["spectrum"],
+                    ["spectrum", "--format", "s1p"],
                     ["delay"],
                     ["classify"],
+                    ["classify", "--delta", "2.1", "--phi", "1.35pi"],
                     ["zero", "--phase-eff", "0.4pi"],
                     ["map", "--axis", "ratio", "--values", "0,1.5"],
+                    ["oracle-check", "--count", "1"],
                 )
             ]
             runs.append(["fit", "--config", {guess!r}, *{traces!r}])
@@ -179,7 +245,7 @@ class TestColdImport:
                 codes = [magpol.cli.dispatch(argv) for argv in runs]
             assert codes == [0] * len(runs), codes
             assert "converged = true" in out.getvalue(), out.getvalue()
-            loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+            loaded = [m for m in ("scipy", "numpy.ma") if m in sys.modules]
             assert not loaded, loaded
             """
         )

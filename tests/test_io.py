@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magpol.config import _format_number, _rows
 from magpol.errors import TraceParseError
 from magpol.io import (
     TraceFormat,
-    _format_number,
-    _rows,
     read_trace,
     render_csv,
     render_touchstone,

@@ -28,6 +28,7 @@ from magpol.spectra import (
     RegimeLabel,
     SpectrumTrace,
     SweepAxis,
+    _median,
     baseline_level,
     classify_regime,
     default_grid,
@@ -235,6 +236,37 @@ def test_trace_equals_transmission_pointwise(params, drive):
         # relative to the two pathway terms (t_probe = 1 - ...), which may cancel
         scale = max(1.0, abs(t_probe), abs(expected - t_probe))
         assert abs(value - expected) <= 1e-12 * scale
+
+
+# Medians are most likely to differ from np.median at ties, signed zeros
+# (np.mean of one -0.0 is +0.0), infinities (inf - inf in a mean of two)
+# and nan (np.median returns the nan that sorts last).
+_MEDIAN_POOL = st.one_of(
+    st.floats(),
+    st.integers(-2, 2).map(float),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+)
+
+
+class TestMedian:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.lists(_MEDIAN_POOL, min_size=1, max_size=8),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_numpy_median_bit_for_bit(self, size, pool, pool_share, seed):
+        # each sample is a pool value (so ties and the special values
+        # repeat) with probability pool_share, else a distinct normal draw
+        rng = np.random.default_rng(seed)
+        values = np.where(
+            rng.random(size) < pool_share, rng.choice(np.array(pool), size), rng.normal(size=size)
+        )
+        with np.errstate(all="ignore"):
+            expected = np.median(values)
+            got = _median(values)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 class TestBaselineAndExtremum:
