@@ -27,17 +27,24 @@ after the prescale, which takes rates spanning about 300 decades, is a
 DomainError.
 
 A kernel call takes one pump term (group_delay, delay_at) or a 1-d block of
-them (the ratio scan) and evaluates a block as one (ratios, samples) array,
-with the same ufuncs in the same order, so every row has the bits of a call
-with its pump alone.  The scan's blocks hold about 2^15 samples, 8 ratios of
-its 4001-sample grid: the kernel's four buffers and the scan's |delay| then
-take about 1.3 MB, which fits in L2 (2 MB per core on the 2-vCPU Xeon it was
-measured on).  There a 4001-sample row cost about 30 us inside a block and
-41 us as a call of its own, the difference being per-call overhead.  On the
-scan's 81 ratios x 4001 samples, blocks of 2^14 and 2^15 samples were alike
-within the spread; 2^16 and 2^17 (about 2.6 and 5 MB) no longer fit in L2
-and were slower, and 2^13 or fewer paid the Python around each block too
-often.
+them (the ratio scan), on all samples or a contiguous range of them, and
+evaluates a block as one (ratios, samples) array with the same ufuncs in
+the same order, so every sample of every row has the bits of a whole-grid
+call with its pump alone.  Per sample the kernel cannot go faster in numpy:
+on the scan's 8 x 4001 blocks it is bound by L2 bandwidth (about 161 us per
+block on the 2-vCPU Xeon it was measured on, 2 MB of L2 per core).  So the
+scan evaluates fewer samples.  delay_extremum_vs_ratio bounds |delay| on
+chunks of _CHUNK_SAMPLES samples (_chunk_bounds) and runs the kernel only
+on the chunks that can hold a ratio's extremum; on the benchmark's scan
+(81 ratios, a +-10 MHz grid of 4001 samples, a feature about 1.7 MHz wide)
+that is about a sixth of the samples, and the scan runs about twice as
+fast.  The gain needs a narrow feature in a wide window: a grid of one or
+two chunks, or a feature that fills the window, evaluates every sample.
+Chunks of 64 to 128 samples were alike within a few percent, and 32 or 256
+were slower.  A block holds at most (_BLOCK_SAMPLES // samples) x samples
+values, about 2^15, so the kernel's four buffers and the scan's |delay|
+take about 1.3 MB and stay in L2; blocks of 2^16 and 2^17 values were
+slower, and 2^13 or fewer paid the Python around each block too often.
 
 Zeros of t_p in the (pump ratio, detuning) plane are found in closed form:
 at fixed effective phase, Im t_p = 0 is linear in the detuning and Re t_p = 0
@@ -63,6 +70,11 @@ ZERO_GUARD = 1e-13
 
 # Samples per block of the ratio scan (see the module docstring)
 _BLOCK_SAMPLES = 2**15
+
+# Samples per chunk of the ratio scan's bound, and the bound's relative
+# slack for rounding (see _chunk_bounds)
+_CHUNK_SAMPLES = 128
+_BOUND_SLACK = 1e-9
 
 _TWO_PI = 2.0 * math.pi
 
@@ -91,14 +103,15 @@ class _DelayKernel:
     depend on the drive (Re and Im of base, Re dnum, q = Im(dden/den) and
     the guard limit ZERO_GUARD^2 * |den|^2) is built once as contiguous
     float64 arrays; Im dnum is a constant.  A call takes one complex pump
-    term, or a 1-d block of up to `rows` of them, and costs eleven ufunc
-    calls on four preallocated (rows, N) buffers, with no complex division,
-    complex temporary or boolean-index copy; the cross term overwrites num
-    in place, which moves less memory than writing a fifth buffer.  A block
-    broadcasts the drive-free rows against a column of pumps, and every
-    ufunc here rounds each element on its own, so row i has the bits of a
-    call with pump i alone.  The diverged mask is built only on request,
-    from the last call's |num|^2.
+    term, or a 1-d block of them, and a contiguous range of samples (by
+    default all), and costs eleven ufunc calls on four preallocated
+    buffers, with no complex division, complex temporary or boolean-index
+    copy; the cross term overwrites num in place, which moves less memory
+    than writing a fifth buffer.  A block broadcasts the drive-free rows
+    against a column of pumps, and every ufunc here rounds each element on
+    its own, so each sample of row i has the bits of a whole-grid call with
+    pump i alone, and so do the samples that at() picks.  The diverged mask
+    is built only on request, from the last call's |num|^2.
 
     Works in the core's scaled units (near 1e-170 MHz the unscaled |den|
     underflows to 0) and scales the delay back by dividing by
@@ -107,61 +120,77 @@ class _DelayKernel:
     """
 
     def __init__(self, params: SystemParams, delta_p: np.ndarray, rows: int = 1):
-        """delta_p is increasing, as the core requires; rows is the largest
-        block a call may take."""
+        """delta_p is increasing, as the core requires; a call may take
+        up to rows * delta_p.size values (pumps times samples)."""
         zc, zm, den, self.pump_scale, exponent = _response_terms(params, delta_p)
-        base, slope, dnum_imag, dden_imag = _numerator_terms(params, zc, zm, exponent)
+        base, slope, dnum_imag, self.dden_imag = _numerator_terms(params, zc, zm, exponent)
         den_sq = den.real * den.real + den.imag * den.imag
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self._q = (dden_imag * den.real - slope * den.imag) / den_sq
+            self._q = (self.dden_imag * den.real - slope * den.imag) / den_sq
         if not np.isfinite(self._q).all():  # den underflows to 0 somewhere
             raise DomainError("group delay is not representable for these rates")
         self._limit = ZERO_GUARD**2 * den_sq
-        self._dnum_re, self._dnum_im = slope, dnum_imag
+        self.den_sq = den_sq
+        self.slope, self.dnum_imag = slope, dnum_imag
         # d/d(delta_p) is 2^-exponent times d/d(scaled detuning), so a phase
         # slope in scaled units over this divisor is a delay in us
         self.divisor = math.ldexp(_TWO_PI, exponent)
         self.base, self.den = base, den
         self._base_re = np.ascontiguousarray(base.real)
         self._base_im = np.ascontiguousarray(base.imag)
-        self._buffers = tuple(np.empty((4, rows, base.size)))
+        self._buffers = np.empty((4, rows * base.size))
 
-    def __call__(self, pump) -> np.ndarray:
-        """The delay in us for num = base + pump, in a buffer that the next
-        call overwrites; diverged samples hold inf or nan.  A complex pump
-        gives one delay per sample; a 1-d array of k <= rows pumps gives a
-        (k, N) block, row i for pump i."""
+    def __call__(self, pump, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The delay in us for num = base + pump on samples start:stop, in a
+        buffer that the next call overwrites; diverged samples hold inf or
+        nan.  A complex pump gives one delay per sample; a 1-d array of k
+        pumps gives a (k, stop - start) block, row i for pump i, that must
+        fit the buffers the constructor sized."""
         pump = np.asarray(pump)
         column = pump.reshape(-1, 1)
-        buffers = self._buffers
-        if column.shape[0] < buffers[0].shape[0]:
-            buffers = [buffer[: column.shape[0]] for buffer in buffers]
+        samples = slice(start, stop)
+        shape = (column.shape[0], self._q[samples].size)
+        buffers = [buffer[: shape[0] * shape[1]].reshape(shape) for buffer in self._buffers]
+        delay, self._num_sq = self._delay(column, samples, buffers)
+        self._last_limit = self._limit[samples]
+        return delay if pump.ndim else delay[0]
+
+    def at(self, pumps: np.ndarray, index: np.ndarray):
+        """(delay, diverged) of every pump in a 1-d array at the samples
+        index, as (pumps, samples) arrays with the bits that a call on the
+        whole grid gives there."""
+        buffers = np.empty((4, pumps.size, index.size))
+        delay, num_sq = self._delay(pumps.reshape(-1, 1), index, buffers)
+        return delay, num_sq <= self._limit[index]
+
+    def _delay(self, pump, samples, buffers):
+        """The formula on the drive-free values at samples (a slice or an
+        index array) against pump, into buffers; returns (delay, |num|^2)."""
         num_re, num_im, num_sq, scratch = buffers
-        np.add(self._base_re, column.real, out=num_re)
-        np.add(self._base_im, column.imag, out=num_im)
+        np.add(self._base_re[samples], pump.real, out=num_re)
+        np.add(self._base_im[samples], pump.imag, out=num_im)
         np.multiply(num_re, num_re, out=num_sq)
         np.multiply(num_im, num_im, out=scratch)
         np.add(num_sq, scratch, out=num_sq)
-        delay = np.multiply(self._dnum_im, num_re, out=num_re)
-        np.multiply(self._dnum_re, num_im, out=num_im)
+        delay = np.multiply(self.dnum_imag, num_re, out=num_re)
+        np.multiply(self.slope[samples], num_im, out=num_im)
         np.subtract(delay, num_im, out=delay)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             np.divide(delay, num_sq, out=delay)  # inf or nan where num is 0
-        np.subtract(self._q, delay, out=delay)
+        np.subtract(self._q[samples], delay, out=delay)
         np.divide(delay, self.divisor, out=delay)
-        self._num_sq = num_sq
-        return delay if pump.ndim else delay[0]
+        return delay, num_sq
 
     def diverges_at(self, index, row=0):
         """Whether sample index of the last call's row-th pump is at or
-        below the guard; equal-length arrays of indices and rows give one
-        answer per pair."""
-        return self._num_sq[row, index] <= self._limit[index]
+        below the guard, counted from the call's start; equal-length arrays
+        of indices and rows give one answer per pair."""
+        return self._num_sq[row, index] <= self._last_limit[index]
 
     def diverged(self, row: int = 0) -> np.ndarray:
-        """The diverged mask of the last call's row-th pump,
+        """The diverged mask of the last call's row-th pump on its samples,
         |num|^2 <= ZERO_GUARD^2 * |den|^2."""
-        return np.less_equal(self._num_sq[row], self._limit)
+        return np.less_equal(self._num_sq[row], self._last_limit)
 
 
 @dataclass(frozen=True)
@@ -336,6 +365,70 @@ def find_zero_reflection(
     )
 
 
+def _chunk_bounds(kernel: _DelayKernel, pumps: np.ndarray):
+    """(bounds, centres): bounds[i, j] >= |delay| * kernel.divisor, as the
+    kernel computes it, on every sample of chunk j that does not diverge
+    under pumps[i], or inf where no bound is proven; centres[j] is chunk
+    j's centre sample.  Chunk j starts at sample j * _CHUNK_SAMPLES, and
+    the last one holds what is left.
+
+    With num = base + P, tau * divisor = q - Im(dnum/num) =
+    -Im((dnum*den - dden*num) / (num*den)), and W0 = dnum*den - dden*base
+    does not depend on the drive.  On a chunk C with centre c, every sample
+    has dden - dden_c = slope - slope_c (real) and
+    |num| >= |base_c + P| - rho with rho = max_C |base - base_c|, so
+
+        |tau| * divisor <= (|W0_c - dden_c*P| + max_C |W0 - W0_c|
+                            + max_C |slope - slope_c| * |P|)
+                           / ((|base_c + P| - rho) * min_C |den|).
+
+    The kernel rounds, and so does this bound.  Each of their operations
+    errs by at most c*u (u = 2^-53, c well below 100) times the magnitudes
+    it combines.  Times |num| * |den|, those of the kernel's
+    q - Im(dnum/num) are |dden| * |num| + |dnum| * |den|, and those of the
+    numerator above are |dnum| * |den| + |dden| * (|base| + |P|).  In the
+    core's scaled units every rate, frequency and detuning is below 1, so
+    |den| and |base| are below 4.2 and |dnum| and |dden| below 3.7, and
+    both sums are below E = 32 + 4|P|.  A single addition or subtraction
+    errs relative to its result, so |base_c + P| and rho are within a few u
+    of their exact values.  _BOUND_SLACK = 1e-9, about 10^7 u, covers all
+    of it: the numerator is inflated by it and gains slack * E, and
+    |base_c + P| - rho is lowered to the reach
+    |base_c + P| * (1 - slack) - rho * (1 + slack).  These relative
+    estimates hold while nothing is subnormal.  With the reach and
+    min_C |den| above 2^-400, |num|^2, |den|^2 and the bound's denominator
+    are normal, and a subnormal product or difference errs by at most
+    2^-1074, which adds less than 2^-260 after the divisions by them; the
+    bound adds 2^-256.  A chunk whose reach or min |den| is 2^-400 or less
+    (the pump nearly cancels base there, or den nearly vanishes) gets no
+    bound.
+    """
+    base, slope = kernel.base, kernel.slope
+    starts = np.arange(0, base.size, _CHUNK_SAMPLES)
+    ends = np.minimum(starts + _CHUNK_SAMPLES, base.size)
+    centres = (starts + ends - 1) // 2
+
+    def spread(values):
+        """max_C |values - values_c| for each chunk."""
+        return np.maximum.reduceat(np.abs(values - np.repeat(values[centres], ends - starts)), starts)
+
+    dden = slope + 1j * kernel.dden_imag
+    w0 = (slope + 1j * kernel.dnum_imag) * kernel.den - dden * base
+    # slope = -(2*Delta + offset), rounded once per term, is monotone in the
+    # detuning, so it strays furthest from the centre at a chunk's end
+    slope_spread = np.maximum(np.abs(slope[starts] - slope[centres]), np.abs(slope[ends - 1] - slope[centres]))
+    den_min = np.sqrt(np.minimum.reduceat(kernel.den_sq, starts))
+    slack, tiny = _BOUND_SLACK, 2.0**-400
+    column = pumps.reshape(-1, 1)
+    pump = np.abs(column)
+    numerator = np.abs(w0[centres] - dden[centres] * column) + spread(w0) + slope_spread * pump
+    reach = np.abs(base[centres] + column) * (1.0 - slack) - spread(base) * (1.0 + slack)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bounds = ((1.0 + slack) * numerator + slack * (32.0 + 4.0 * pump)) / (reach * den_min)
+    proven = (reach > tiny) & (den_min > tiny)
+    return np.where(proven, bounds + 2.0**-256, np.inf), centres
+
+
 def delay_extremum_vs_ratio(
     params: SystemParams,
     phase_eff: float,
@@ -344,12 +437,30 @@ def delay_extremum_vs_ratio(
 ) -> np.ndarray:
     """Signed extremal delay within the grid window for each pump ratio.
 
-    For each ratio the analytic delay trace is computed on the grid and the
-    sample of largest |delay| that is not diverged is reported with its sign.
-    One _DelayKernel serves every ratio, so the drive-free terms are built
-    once, and it takes the ratios in blocks of about _BLOCK_SAMPLES samples
-    (at least one ratio per block); the result equals the per-ratio
-    group_delay exactly.
+    For each ratio the sample of largest |delay| that is not diverged is
+    reported with its sign, bit for bit as the per-ratio group_delay trace
+    gives it.  One _DelayKernel serves every ratio, so the drive-free terms
+    are built once.
+
+    The kernel runs only on the samples that can hold a ratio's extremum.
+    _chunk_bounds bounds |delay| on each chunk of _CHUNK_SAMPLES samples,
+    and the kernel evaluates every ratio at every chunk's centre.  For each
+    ratio, M is the largest of those |delay| that does not diverge, a lower
+    bound on its extremum, and a chunk is needed when its bound reaches
+    M * (1 - _BOUND_SLACK).  A ratio with no such M, or with an M that is
+    not a normal double, needs every sample.  So every sample left out
+    either diverges or has a |delay| strictly below M (the slack keeps it
+    strict through the division by the divisor), while M's own sample is
+    kept: the extremum, argmax's first-maximum tie-break and the diverged
+    path below are those of the whole grid.  A grid of one or two chunks
+    evaluates every sample.
+
+    Consecutive ratios form a block, evaluated by one kernel call on the
+    one contiguous range that covers the needed chunks of all its ratios.
+    A block grows while its ratios times its range fit the kernel's buffers
+    of (_BLOCK_SAMPLES // grid.count) * grid.count values, at least one
+    ratio on the whole grid; so a block of narrow ranges holds more ratios,
+    and with nothing left out the blocks are those of the whole grid.
 
     The diverged mask is built only for a ratio whose plain argmax of
     |delay| lands on a diverged sample.  Otherwise that argmax is the
@@ -379,22 +490,50 @@ def delay_extremum_vs_ratio(
     pumps = np.array(
         [_pump_term(kernel.pump_scale, ratio, phase) for ratio in ratio_values.tolist()]
     )
-    magnitude = np.empty((rows, grid.count))
-    index = np.arange(rows)
+    capacity = rows * grid.count  # values in each kernel buffer
+    first = np.zeros(ratio_values.size, dtype=int)
+    stop = np.full(ratio_values.size, grid.count)
+    if grid.count > 2 * _CHUNK_SAMPLES:
+        # ratios in groups whose (ratios, chunks) arrays hold about as many
+        # values as a buffer, so memory does not grow with the ratio count
+        group = rows * _CHUNK_SAMPLES
+        for start in range(0, ratio_values.size, group):
+            part = slice(start, start + group)
+            bounds, centres = _chunk_bounds(kernel, pumps[part])
+            centre_delay, diverged = kernel.at(pumps[part], centres)
+            lower = np.max(np.where(diverged, -1.0, np.abs(centre_delay)), axis=1)  # M
+            # a ratio with no normal M needs every sample (nan fails too)
+            usable = lower >= np.finfo(float).tiny
+            cut = np.where(usable, lower * kernel.divisor * (1.0 - _BOUND_SLACK), -np.inf)
+            needed = ~(bounds < cut[:, None])
+            first[part] = np.argmax(needed, axis=1) * _CHUNK_SAMPLES
+            last = centres.size - np.argmax(needed[:, ::-1], axis=1)
+            stop[part] = np.minimum(last * _CHUNK_SAMPLES, grid.count)
+    magnitudes = np.empty(capacity)
+    index = np.arange(ratio_values.size)
     out = np.empty(ratio_values.size)
-    for start in range(0, ratio_values.size, rows):
-        delay = kernel(pumps[start : start + rows])
-        if delay.shape[0] < rows:  # the last block
-            magnitude, index = magnitude[: delay.shape[0]], index[: delay.shape[0]]
-        np.absolute(delay, out=magnitude)
+    first, stop = first.tolist(), stop.tolist()
+    start = 0
+    while start < ratio_values.size:
+        # the block grows while its rows times its sample range fit the buffers
+        lo, hi, end = first[start], stop[start], start + 1
+        while end < ratio_values.size:
+            wider = min(lo, first[end]), max(hi, stop[end])
+            if (end + 1 - start) * (wider[1] - wider[0]) > capacity:
+                break
+            (lo, hi), end = wider, end + 1
+        delay = kernel(pumps[start:end], lo, hi)
+        magnitude = np.absolute(delay, out=magnitudes[: delay.size].reshape(delay.shape))
+        rows_here = index[: end - start]
         picks = np.argmax(magnitude, axis=1)
-        for row in np.flatnonzero(kernel.diverges_at(picks, index)):
+        for row in np.flatnonzero(kernel.diverges_at(picks, rows_here)):
             diverged = kernel.diverged(row)
             np.putmask(magnitude[row], diverged, -1.0)
             picks[row] = np.argmax(magnitude[row])
             if diverged[picks[row]]:
                 raise DomainError(f"all samples diverged at ratio {float(ratio_values[start + row])}")
-        out[start : start + rows] = delay[index, picks]
+        out[start:end] = delay[rows_here, picks]
+        start = end
     return out
 
 
@@ -419,6 +558,16 @@ def detect_abrupt_transition(ratio_values, extremal_delays) -> TransitionReport 
     A qualifying pair of adjacent ratios changes the delay sign with
     |delta tau| greater than _JUMP_FACTOR (10) times the median adjacent
     change.  Returns None when no pair qualifies.
+
+    The detector sees only the delays, so it promises no more than the first
+    abrupt sign flip of the signed extremal delay.  The paper's transition,
+    where reflection passes through zero, gives such a flip, but so does a
+    swap of which delay lobe, positive or negative, is larger.  On the
+    reference device at effective phase 1.89pi, the extremal delay goes from
+    0.0252 to -0.0267 us between ratios 1.0 and 1.05 and a flip is reported
+    at 1.025, although each lobe changes smoothly and the zero lies at ratio
+    6.46.  Where the device is known, the transition located by its zero is
+    find_zero_reflection's ratio_delta (delta*).
     """
     ratios = np.asarray(ratio_values, dtype=float)
     delays = np.asarray(extremal_delays, dtype=float)

@@ -144,7 +144,7 @@ class DriveField:
 
     @property
     def effective_phase(self) -> float:
-        return math.remainder(self.phase_phi + self.phase_offset, math.tau)
+        return _effective_phase(self.phase_phi, self.phase_offset)
 
     @classmethod
     def with_effective_phase(
@@ -157,6 +157,11 @@ class DriveField:
             phase_offset=0.0,
             probe_amp=probe_amp,
         )
+
+
+def _effective_phase(phase_phi: float, phase_offset: float) -> float:
+    """phase_phi + phase_offset reduced to (-pi, pi]."""
+    return math.remainder(phase_phi + phase_offset, math.tau)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,8 @@ from .model import (
     DriveField,
     SystemParams,
     _drive_coefficient,
+    _effective_phase,
+    _pump_term,
     _response_terms,
     _scale_exponent,
 )
@@ -208,8 +210,9 @@ def sweep(
     """Sweep the pump phase or pump/probe ratio, tracing the spectrum at each value.
 
     The drive-independent factors (den, t_probe) are computed once for the
-    grid; each value then costs one complex scalar and one add and divide.
-    Each trace equals trace(params, drive, grid) for that value's drive.
+    grid, and every value's pump coefficient is divided by den in one
+    (values, samples) array; each trace is a read-only row of it.  Each
+    trace equals trace(params, drive, grid) for that value's drive.
     """
     if grid is None:
         grid = default_grid()
@@ -217,19 +220,53 @@ def sweep(
     if values.ndim != 1 or values.size == 0:
         raise DomainError("sweep axis values must be a non-empty 1-d array")
     den, t_probe, pump_scale = _probe_terms_on(params, grid.values)
-    traces = []
-    for value in values:
-        if axis is SweepAxis.PHASE:
-            drive = replace(base_drive, phase_phi=float(value))
-        elif axis is SweepAxis.RATIO:
-            drive = replace(base_drive, ratio_delta=float(value))
-        else:
-            raise DomainError(f"unknown sweep axis {axis!r}")
-        coefficient = _drive_coefficient(pump_scale, drive)
-        traces.append(SpectrumTrace(grid=grid, t=t_probe + coefficient / den))
+    if axis is SweepAxis.PHASE:
+        field = "phase_phi"
+    elif axis is SweepAxis.RATIO:
+        field = "ratio_delta"
+    else:
+        raise DomainError(f"unknown sweep axis {axis!r}")
+
+    def coefficient(value):
+        return _drive_coefficient(pump_scale, replace(base_drive, **{field: float(value)}))
+
+    # DriveField accepts an interval of ratios and of phases (nan fails), so
+    # when the smallest and the largest value pass, all do; otherwise the
+    # first value that fails raises its own error, as in a loop over drives.
+    try:
+        coefficient(values.min())
+        coefficient(values.max())
+    except DomainError:
+        for value in values:
+            coefficient(value)
+        raise
+    if axis is SweepAxis.RATIO:
+        phase = base_drive.effective_phase
+        terms = [_pump_term(pump_scale, value, phase) for value in values.tolist()]
+    else:
+        ratio, offset = base_drive.ratio_delta, base_drive.phase_offset
+        terms = [
+            _pump_term(pump_scale, ratio, _effective_phase(value, offset)) for value in values.tolist()
+        ]
+    # written in place: a second (values, samples) temporary page-faulted
+    # on every call and cost more than the arithmetic
+    t = np.empty((values.size, grid.count), dtype=complex)
+    np.divide(np.array(terms).reshape(-1, 1), den, out=t)
+    np.add(t_probe, t, out=t)
+    t.flags.writeable = False
     values = values.copy()
     values.flags.writeable = False
-    return SweepMap(axis=axis, axis_values=values, grid=grid, traces=tuple(traces))
+    traces = tuple(_wrap_trace(grid, row) for row in t)
+    return SweepMap(axis=axis, axis_values=values, grid=grid, traces=traces)
+
+
+def _wrap_trace(grid: DetuningGrid, t: np.ndarray) -> SpectrumTrace:
+    """A SpectrumTrace holding t itself, without __post_init__'s copy: t
+    must be a read-only complex array of grid.count samples that nothing
+    writes."""
+    trace = object.__new__(SpectrumTrace)
+    trace.__dict__.update(grid=grid, t=t)
+    return trace
 
 
 def _median(values: np.ndarray) -> float:

@@ -71,6 +71,7 @@ INVOCATIONS = [
     ("spectrum-s1p", ["spectrum", "--delta", "1.2", "--phi", "0.35pi", "--format", "s1p"]),
     ("map-ratio", ["map", "--axis", "ratio", "--values", "0,0.5,1.2,2.1"]),
     ("map-phase", ["map", "--axis", "phase", "--delta", "1.2", "--values", "0,0.35pi,1.35pi"]),
+    ("map-ratio-bad", ["map", "--axis", "ratio", "--values", "2,nan,-1"]),
     ("delay-analytic", ["delay", "--delta", "1.2", "--phi", "1.35pi"]),
     ("delay-fd", ["delay", "--delta", "1.2", "--phi", "1.35pi", "--method", "fd"]),
     ("zero", ["zero", "--phase-eff", "1.35pi"]),

@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 from conftest import REFERENCE, valid_drives, valid_params
 from magpol.delay import (
     _BLOCK_SAMPLES,
+    _CHUNK_SAMPLES,
     DelayTrace,
     TransitionSign,
+    _chunk_bounds,
     _DelayKernel,
     delay_at,
     delay_extremum_vs_ratio,
@@ -426,16 +428,29 @@ class TestExtremumBlocks:
     @given(
         valid_params(),
         st.floats(-math.pi, math.pi),
-        # (grid count, most ratios): every ratio in one block, 8 ratios per
-        # block with a partial last block, and one ratio per block
-        st.sampled_from([(2, 12), (201, 12), (4001, 20), (_BLOCK_SAMPLES + 1, 3)]),
+        # (grid count, most ratios, half span in MHz): grids too small for
+        # the bound, 4001 samples on +-10 MHz and on +-60 MHz, where most
+        # chunks are left out, and a grid whose buffers hold one whole-grid
+        # ratio
+        st.sampled_from(
+            [
+                (2, 12, 10.0),
+                (201, 12, 10.0),
+                (4001, 20, 10.0),
+                (4001, 20, 60.0),
+                (_BLOCK_SAMPLES + 1, 3, 10.0),
+            ]
+        ),
+        # devices and grids scaled by 2^k, as in TestHomogeneity
+        st.one_of(st.just(0), st.integers(-600, 150)),
         st.data(),
     )
     @settings(max_examples=30, deadline=None)
-    def test_property_blocks_equal_reference(self, params, phase_eff, sizes, data):
-        count, most = sizes
+    def test_property_blocks_equal_reference(self, params, phase_eff, sizes, k, data):
+        count, most, span = sizes
         ratios = data.draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=most))
-        grid = DetuningGrid(-10.0, 10.0, count)
+        params = scaled(params, k)
+        grid = DetuningGrid(math.ldexp(-span, k), math.ldexp(span, k), count)
         try:
             expected = extremum_reference(params, phase_eff, ratios, grid)
         except DomainError:
@@ -460,6 +475,76 @@ class TestExtremumBlocks:
         result = delay_extremum_vs_ratio(params, self.PHASE, ratios, grid)
         assert np.array_equal(result, extremum_reference(params, self.PHASE, ratios, grid))
         assert np.all(np.isfinite(result))
+
+
+class TestExtremumPruning:
+    """_chunk_bounds bounds the kernel's own |delay| * divisor on every
+    sample of a chunk that does not diverge; the scan leaves samples out
+    on that bound alone."""
+
+    PHASE = 1.35 * math.pi
+
+    @given(
+        valid_params(),
+        st.one_of(st.just(0), st.integers(-600, 150)),
+        st.floats(-math.pi, math.pi),
+        st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8),
+        st.sampled_from([10.0, 60.0]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_property_bound_holds(self, params, k, phase_eff, ratios, span):
+        grid = DetuningGrid(math.ldexp(-span, k), math.ldexp(span, k), 4001)
+        kernel = _DelayKernel(scaled(params, k), grid.values, len(ratios))
+        pumps = np.array([_pump_term(kernel.pump_scale, ratio, phase_eff) for ratio in ratios])
+        bounds, centres = _chunk_bounds(kernel, pumps)
+        chunk = np.arange(grid.count) // _CHUNK_SAMPLES
+        assert np.array_equal(chunk[centres], np.arange(centres.size))
+        delay = kernel(pumps)
+        for row in range(len(ratios)):
+            kept = ~kernel.diverged(row)
+            size = np.abs(delay[row][kept]) * kernel.divisor
+            assert np.all(size <= bounds[row][chunk[kept]])
+
+    def test_diverged_picks_in_pruned_blocks(self, params, monkeypatch):
+        # on a +-60 MHz grid around the root's detuning the scan runs two
+        # blocks, each on a range inside the grid; the root ratio sits in
+        # both, and its unmasked argmax is the diverged sample
+        root = find_zero_reflection(params, self.PHASE)
+        grid = DetuningGrid.from_values(root.detuning + 0.03 * np.arange(-2000, 2001))
+        ratios = np.linspace(0.0, 4.0, 81)
+        ratios[[10, 40, 70]] = root.ratio_delta
+        ranges = []
+        call = _DelayKernel.__call__
+
+        def spy(kernel, pump, start=0, stop=None):
+            ranges.append((start, stop))
+            return call(kernel, pump, start, stop)
+
+        monkeypatch.setattr(_DelayKernel, "__call__", spy)
+        result = delay_extremum_vs_ratio(params, self.PHASE, ratios, grid)
+        monkeypatch.undo()
+        assert len(ranges) >= 2 and all(0 < start < stop < grid.count for start, stop in ranges)
+        assert np.array_equal(result, extremum_reference(params, self.PHASE, ratios, grid))
+        assert np.all(np.isfinite(result))
+
+    def test_ratio_groups_keep_the_bits(self, params):
+        # past _BLOCK_SAMPLES the buffers hold one whole-grid ratio, so the
+        # bound runs on groups of _CHUNK_SAMPLES ratios: 130 ratios make two
+        grid = DetuningGrid(-10.0, 10.0, _BLOCK_SAMPLES + 1)
+        ratios = np.linspace(0.0, 4.0, _CHUNK_SAMPLES + 2)
+        result = delay_extremum_vs_ratio(params, self.PHASE, ratios, grid)
+        assert np.array_equal(result, extremum_reference(params, self.PHASE, ratios, grid))
+
+    def test_sample_just_above_the_guard_in_a_pruned_range(self, params):
+        # 1e-12 MHz from the root |t_p| is about 3e-13, just above the guard:
+        # that sample does not diverge and holds the extremum, and a range
+        # that starts inside the grid must judge it by its own |den|
+        root = find_zero_reflection(params, self.PHASE)
+        grid = DetuningGrid.from_values(root.detuning + 1e-12 + 0.03 * np.arange(-2000, 2001))
+        trace = group_delay(params, DriveField.with_effective_phase(root.ratio_delta, self.PHASE), grid)
+        assert not trace.diverged.any() and abs(trace.t[2000]) < 1e-12
+        [extremum] = delay_extremum_vs_ratio(params, self.PHASE, [root.ratio_delta], grid)
+        assert extremum == trace.delay[2000]
 
 
 class TestHomogeneity:
