@@ -34,12 +34,17 @@ call with its pump alone.  Per sample the kernel cannot go faster in numpy:
 on the scan's 8 x 4001 blocks it is bound by L2 bandwidth (about 161 us per
 block on the 2-vCPU Xeon it was measured on, 2 MB of L2 per core).  So the
 scan evaluates fewer samples.  delay_extremum_vs_ratio bounds |delay| on
-chunks of _CHUNK_SAMPLES samples (_chunk_bounds) and runs the kernel only
-on the chunks that can hold a ratio's extremum; on the benchmark's scan
-(81 ratios, a +-10 MHz grid of 4001 samples, a feature about 1.7 MHz wide)
-that is about a sixth of the samples, and the scan runs about twice as
-fast.  The gain needs a narrow feature in a wide window: a grid of one or
-two chunks, or a feature that fills the window, evaluates every sample.
+chunks of _CHUNK_SAMPLES samples (_DelayKernel.chunk_bounds) and runs the
+kernel only on the chunks that can hold a ratio's extremum; on the
+benchmark's scan (81 ratios, a +-10 MHz grid of 4001 samples, a feature
+about 1.7 MHz wide) that is about a sixth of the samples, and the scan runs
+about twice as fast.  The gain needs a narrow feature in a wide window.  A
+grid of one chunk, or a feature that fills the window, evaluates every
+sample, and the bound and the block-growing loop add about 0.3 ms to an
+81-ratio scan: on the reference device, on the same Xeon, the scan ran
+slower than a whole-grid one below about a thousand samples (0.55 against
+0.22 ms at 2 samples, 1.33 against 1.24 ms at 1025) and faster above (1.21
+against 2.01 ms at 2001).
 Chunks of 64 to 128 samples were alike within a few percent, and 32 or 256
 were slower.  A block holds at most (_BLOCK_SAMPLES // samples) x samples
 values, about 2^15, so the kernel's four buffers and the scan's |delay|
@@ -59,6 +64,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,7 +78,7 @@ ZERO_GUARD = 1e-13
 _BLOCK_SAMPLES = 2**15
 
 # Samples per chunk of the ratio scan's bound, and the bound's relative
-# slack for rounding (see _chunk_bounds)
+# slack for rounding (see _DelayKernel.chunk_bounds)
 _CHUNK_SAMPLES = 128
 _BOUND_SLACK = 1e-9
 
@@ -111,7 +117,8 @@ class _DelayKernel:
     against a column of pumps, and every ufunc here rounds each element on
     its own, so each sample of row i has the bits of a whole-grid call with
     pump i alone, and so do the samples that at() picks.  The diverged mask
-    is built only on request, from the last call's |num|^2.
+    is built only on request, from the last call's |num|^2.  chunk_bounds,
+    for the ratio scan, builds its own drive-free terms on its first call.
 
     Works in the core's scaled units (near 1e-170 MHz the unscaled |den|
     underflows to 0) and scales the delay back by dividing by
@@ -123,15 +130,15 @@ class _DelayKernel:
         """delta_p is increasing, as the core requires; a call may take
         up to rows * delta_p.size values (pumps times samples)."""
         zc, zm, den, self.pump_scale, exponent = _response_terms(params, delta_p)
-        base, slope, dnum_imag, self.dden_imag = _numerator_terms(params, zc, zm, exponent)
+        base, slope, dnum_imag, dden_imag = _numerator_terms(params, zc, zm, exponent)
         den_sq = den.real * den.real + den.imag * den.imag
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self._q = (self.dden_imag * den.real - slope * den.imag) / den_sq
+            self._q = (dden_imag * den.real - slope * den.imag) / den_sq
         if not np.isfinite(self._q).all():  # den underflows to 0 somewhere
             raise DomainError("group delay is not representable for these rates")
         self._limit = ZERO_GUARD**2 * den_sq
-        self.den_sq = den_sq
-        self.slope, self.dnum_imag = slope, dnum_imag
+        self._den_sq = den_sq
+        self._dnum_re, self._dnum_im, self._dden_im = slope, dnum_imag, dden_imag
         # d/d(delta_p) is 2^-exponent times d/d(scaled detuning), so a phase
         # slope in scaled units over this divisor is a delay in us
         self.divisor = math.ldexp(_TWO_PI, exponent)
@@ -172,8 +179,8 @@ class _DelayKernel:
         np.multiply(num_re, num_re, out=num_sq)
         np.multiply(num_im, num_im, out=scratch)
         np.add(num_sq, scratch, out=num_sq)
-        delay = np.multiply(self.dnum_imag, num_re, out=num_re)
-        np.multiply(self.slope[samples], num_im, out=num_im)
+        delay = np.multiply(self._dnum_im, num_re, out=num_re)
+        np.multiply(self._dnum_re[samples], num_im, out=num_im)
         np.subtract(delay, num_im, out=delay)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             np.divide(delay, num_sq, out=delay)  # inf or nan where num is 0
@@ -191,6 +198,85 @@ class _DelayKernel:
         """The diverged mask of the last call's row-th pump on its samples,
         |num|^2 <= ZERO_GUARD^2 * |den|^2."""
         return np.less_equal(self._num_sq[row], self._last_limit)
+
+    def chunk_bounds(self, pumps: np.ndarray):
+        """(bounds, centres): bounds[i, j] >= |delay| * divisor, as a call
+        computes it, on every sample of chunk j that does not diverge under
+        pumps[i], or inf where no bound is proven; centres[j] is chunk j's
+        centre sample.  Chunk j starts at sample j * _CHUNK_SAMPLES, and the
+        last one holds what is left.
+
+        With num = base + P, tau * divisor = q - Im(dnum/num) =
+        -Im((dnum*den - dden*num) / (num*den)), and W0 = dnum*den - dden*base
+        does not depend on the drive.  On a chunk C with centre c, every
+        sample has dden - dden_c = slope - slope_c (real) and
+        |num| >= |base_c + P| - rho with rho = max_C |base - base_c|, so
+
+            |tau| * divisor <= (|W0_c - dden_c*P| + max_C |W0 - W0_c|
+                                + max_C |slope - slope_c| * |P|)
+                               / ((|base_c + P| - rho) * min_C |den|).
+
+        A call rounds, and so does this bound.  Each of their operations
+        errs by at most c*u (u = 2^-53, c well below 100) times the
+        magnitudes it combines.  Times |num| * |den|, those of the call's
+        q - Im(dnum/num) are |dden| * |num| + |dnum| * |den|, and those of
+        the numerator above are |dnum| * |den| + |dden| * (|base| + |P|).
+        In the core's scaled units every rate, frequency and detuning is
+        below 1, so |den| and |base| are below 4.2 and |dnum| and |dden|
+        below 3.7, and both sums are below E = 32 + 4|P|.  A single addition
+        or subtraction errs relative to its result, so |base_c + P| and rho
+        are within a few u of their exact values.  _BOUND_SLACK = 1e-9,
+        about 10^7 u, covers all of it: the numerator is inflated by it and
+        gains slack * E, and |base_c + P| - rho is lowered to the reach
+        |base_c + P| * (1 - slack) - rho * (1 + slack).  These relative
+        estimates hold while nothing is subnormal.  With the reach and
+        min_C |den| above 2^-400, |num|^2, |den|^2 and the bound's
+        denominator are normal, and a subnormal product or difference errs
+        by at most 2^-1074, which adds less than 2^-260 after the divisions
+        by them; the bound adds 2^-256.  A chunk whose reach or min |den| is
+        2^-400 or less (the pump nearly cancels base there, or den nearly
+        vanishes) gets no bound.
+        """
+        centres, w0_c, dden_c, base_c, w0_spread, base_spread, slope_spread, den_min = (
+            self._chunk_terms
+        )
+        slack, tiny = _BOUND_SLACK, 2.0**-400
+        column = pumps.reshape(-1, 1)
+        pump = np.abs(column)
+        numerator = np.abs(w0_c - dden_c * column) + w0_spread + slope_spread * pump
+        reach = np.abs(base_c + column) * (1.0 - slack) - base_spread * (1.0 + slack)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            bounds = ((1.0 + slack) * numerator + slack * (32.0 + 4.0 * pump)) / (reach * den_min)
+        proven = (reach > tiny) & (den_min > tiny)
+        return np.where(proven, bounds + 2.0**-256, np.inf), centres
+
+    @cached_property
+    def _chunk_terms(self):
+        """The drive-free parts of chunk_bounds, built on its first call:
+        the centres, W0, dden and base at them, the spreads of W0, base and
+        slope about them, and min |den| on each chunk."""
+        base, slope = self.base, self._dnum_re
+        starts = np.arange(0, base.size, _CHUNK_SAMPLES)
+        ends = np.minimum(starts + _CHUNK_SAMPLES, base.size)
+        centres = (starts + ends - 1) // 2
+
+        def spread(values):
+            """max_C |values - values_c| for each chunk."""
+            centre_values = np.repeat(values[centres], ends - starts)
+            return np.maximum.reduceat(np.abs(values - centre_values), starts)
+
+        dden = slope + 1j * self._dden_im
+        w0 = (slope + 1j * self._dnum_im) * self.den - dden * base
+        # slope = -(2*Delta + offset), rounded once per term, is monotone in
+        # the detuning, so it strays furthest from the centre at a chunk's end
+        slope_spread = np.maximum(
+            np.abs(slope[starts] - slope[centres]), np.abs(slope[ends - 1] - slope[centres])
+        )
+        den_min = np.sqrt(np.minimum.reduceat(self._den_sq, starts))
+        return (
+            centres, w0[centres], dden[centres], base[centres],
+            spread(w0), spread(base), slope_spread, den_min,
+        )
 
 
 @dataclass(frozen=True)
@@ -365,70 +451,6 @@ def find_zero_reflection(
     )
 
 
-def _chunk_bounds(kernel: _DelayKernel, pumps: np.ndarray):
-    """(bounds, centres): bounds[i, j] >= |delay| * kernel.divisor, as the
-    kernel computes it, on every sample of chunk j that does not diverge
-    under pumps[i], or inf where no bound is proven; centres[j] is chunk
-    j's centre sample.  Chunk j starts at sample j * _CHUNK_SAMPLES, and
-    the last one holds what is left.
-
-    With num = base + P, tau * divisor = q - Im(dnum/num) =
-    -Im((dnum*den - dden*num) / (num*den)), and W0 = dnum*den - dden*base
-    does not depend on the drive.  On a chunk C with centre c, every sample
-    has dden - dden_c = slope - slope_c (real) and
-    |num| >= |base_c + P| - rho with rho = max_C |base - base_c|, so
-
-        |tau| * divisor <= (|W0_c - dden_c*P| + max_C |W0 - W0_c|
-                            + max_C |slope - slope_c| * |P|)
-                           / ((|base_c + P| - rho) * min_C |den|).
-
-    The kernel rounds, and so does this bound.  Each of their operations
-    errs by at most c*u (u = 2^-53, c well below 100) times the magnitudes
-    it combines.  Times |num| * |den|, those of the kernel's
-    q - Im(dnum/num) are |dden| * |num| + |dnum| * |den|, and those of the
-    numerator above are |dnum| * |den| + |dden| * (|base| + |P|).  In the
-    core's scaled units every rate, frequency and detuning is below 1, so
-    |den| and |base| are below 4.2 and |dnum| and |dden| below 3.7, and
-    both sums are below E = 32 + 4|P|.  A single addition or subtraction
-    errs relative to its result, so |base_c + P| and rho are within a few u
-    of their exact values.  _BOUND_SLACK = 1e-9, about 10^7 u, covers all
-    of it: the numerator is inflated by it and gains slack * E, and
-    |base_c + P| - rho is lowered to the reach
-    |base_c + P| * (1 - slack) - rho * (1 + slack).  These relative
-    estimates hold while nothing is subnormal.  With the reach and
-    min_C |den| above 2^-400, |num|^2, |den|^2 and the bound's denominator
-    are normal, and a subnormal product or difference errs by at most
-    2^-1074, which adds less than 2^-260 after the divisions by them; the
-    bound adds 2^-256.  A chunk whose reach or min |den| is 2^-400 or less
-    (the pump nearly cancels base there, or den nearly vanishes) gets no
-    bound.
-    """
-    base, slope = kernel.base, kernel.slope
-    starts = np.arange(0, base.size, _CHUNK_SAMPLES)
-    ends = np.minimum(starts + _CHUNK_SAMPLES, base.size)
-    centres = (starts + ends - 1) // 2
-
-    def spread(values):
-        """max_C |values - values_c| for each chunk."""
-        return np.maximum.reduceat(np.abs(values - np.repeat(values[centres], ends - starts)), starts)
-
-    dden = slope + 1j * kernel.dden_imag
-    w0 = (slope + 1j * kernel.dnum_imag) * kernel.den - dden * base
-    # slope = -(2*Delta + offset), rounded once per term, is monotone in the
-    # detuning, so it strays furthest from the centre at a chunk's end
-    slope_spread = np.maximum(np.abs(slope[starts] - slope[centres]), np.abs(slope[ends - 1] - slope[centres]))
-    den_min = np.sqrt(np.minimum.reduceat(kernel.den_sq, starts))
-    slack, tiny = _BOUND_SLACK, 2.0**-400
-    column = pumps.reshape(-1, 1)
-    pump = np.abs(column)
-    numerator = np.abs(w0[centres] - dden[centres] * column) + spread(w0) + slope_spread * pump
-    reach = np.abs(base[centres] + column) * (1.0 - slack) - spread(base) * (1.0 + slack)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        bounds = ((1.0 + slack) * numerator + slack * (32.0 + 4.0 * pump)) / (reach * den_min)
-    proven = (reach > tiny) & (den_min > tiny)
-    return np.where(proven, bounds + 2.0**-256, np.inf), centres
-
-
 def delay_extremum_vs_ratio(
     params: SystemParams,
     phase_eff: float,
@@ -443,7 +465,7 @@ def delay_extremum_vs_ratio(
     are built once.
 
     The kernel runs only on the samples that can hold a ratio's extremum.
-    _chunk_bounds bounds |delay| on each chunk of _CHUNK_SAMPLES samples,
+    kernel.chunk_bounds bounds |delay| on each chunk of _CHUNK_SAMPLES samples,
     and the kernel evaluates every ratio at every chunk's centre.  For each
     ratio, M is the largest of those |delay| that does not diverge, a lower
     bound on its extremum, and a chunk is needed when its bound reaches
@@ -452,8 +474,8 @@ def delay_extremum_vs_ratio(
     either diverges or has a |delay| strictly below M (the slack keeps it
     strict through the division by the divisor), while M's own sample is
     kept: the extremum, argmax's first-maximum tie-break and the diverged
-    path below are those of the whole grid.  A grid of one or two chunks
-    evaluates every sample.
+    path below are those of the whole grid.  A grid of one chunk evaluates
+    every sample, after the bound (see the module docstring for its cost).
 
     Consecutive ratios form a block, evaluated by one kernel call on the
     one contiguous range that covers the needed chunks of all its ratios.
@@ -491,24 +513,23 @@ def delay_extremum_vs_ratio(
         [_pump_term(kernel.pump_scale, ratio, phase) for ratio in ratio_values.tolist()]
     )
     capacity = rows * grid.count  # values in each kernel buffer
-    first = np.zeros(ratio_values.size, dtype=int)
-    stop = np.full(ratio_values.size, grid.count)
-    if grid.count > 2 * _CHUNK_SAMPLES:
-        # ratios in groups whose (ratios, chunks) arrays hold about as many
-        # values as a buffer, so memory does not grow with the ratio count
-        group = rows * _CHUNK_SAMPLES
-        for start in range(0, ratio_values.size, group):
-            part = slice(start, start + group)
-            bounds, centres = _chunk_bounds(kernel, pumps[part])
-            centre_delay, diverged = kernel.at(pumps[part], centres)
-            lower = np.max(np.where(diverged, -1.0, np.abs(centre_delay)), axis=1)  # M
-            # a ratio with no normal M needs every sample (nan fails too)
-            usable = lower >= np.finfo(float).tiny
-            cut = np.where(usable, lower * kernel.divisor * (1.0 - _BOUND_SLACK), -np.inf)
-            needed = ~(bounds < cut[:, None])
-            first[part] = np.argmax(needed, axis=1) * _CHUNK_SAMPLES
-            last = centres.size - np.argmax(needed[:, ::-1], axis=1)
-            stop[part] = np.minimum(last * _CHUNK_SAMPLES, grid.count)
+    first = np.empty(ratio_values.size, dtype=int)
+    stop = np.empty_like(first)
+    # ratios in groups whose (ratios, chunks) arrays hold about as many
+    # values as a buffer, so memory does not grow with the ratio count
+    group = rows * _CHUNK_SAMPLES
+    for start in range(0, ratio_values.size, group):
+        part = slice(start, start + group)
+        bounds, centres = kernel.chunk_bounds(pumps[part])
+        centre_delay, diverged = kernel.at(pumps[part], centres)
+        lower = np.max(np.where(diverged, -1.0, np.abs(centre_delay)), axis=1)  # M
+        # a ratio with no normal M needs every sample (nan fails too)
+        usable = lower >= np.finfo(float).tiny
+        cut = np.where(usable, lower * kernel.divisor * (1.0 - _BOUND_SLACK), -np.inf)
+        needed = ~(bounds < cut[:, None])
+        first[part] = np.argmax(needed, axis=1) * _CHUNK_SAMPLES
+        last = centres.size - np.argmax(needed[:, ::-1], axis=1)
+        stop[part] = np.minimum(last * _CHUNK_SAMPLES, grid.count)
     magnitudes = np.empty(capacity)
     index = np.arange(ratio_values.size)
     out = np.empty(ratio_values.size)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -218,11 +218,47 @@ def _pump_term(pump_scale: float, ratio: float, phase_eff: float) -> complex:
 
 def _drive_coefficient(pump_scale: float, drive: DriveField) -> complex:
     """The pump coefficient c (t_pump = c / den) of one drive; every
-    drive-level response path takes it from here.  t_p is normalized to the
-    probe, so it is undefined without one: DomainError for probe_amp == 0."""
+    drive-level response path takes it from here, or from _pump_terms for
+    one drive swept along a field.  t_p is normalized to the probe, so it is
+    undefined without one: DomainError for probe_amp == 0."""
     if drive.probe_amp == 0.0:
         raise DomainError("transmission is undefined for probe_amp == 0")
     return _pump_term(pump_scale, drive.ratio_delta, drive.effective_phase)
+
+
+def _pump_terms(
+    pump_scale: float, base_drive: DriveField, name: str, values: np.ndarray
+) -> np.ndarray:
+    """The pump coefficients of base_drive with its field name ("ratio_delta"
+    or "phase_phi") set to each of values, with the bits and the errors of
+    _drive_coefficient on each such drive.
+
+    DriveField accepts an interval of ratios and of phases (nan fails), so
+    when the smallest and the largest value pass, all do; otherwise the
+    first value that fails raises its own error, as a loop over drives
+    would.  The values that pass need no drive each.
+    """
+
+    def coefficient(value):
+        return _drive_coefficient(pump_scale, replace(base_drive, **{name: float(value)}))
+
+    try:
+        coefficient(values.min())
+        coefficient(values.max())
+    except DomainError:
+        for value in values:
+            coefficient(value)
+        raise
+    if name == "ratio_delta":
+        phase = base_drive.effective_phase
+        terms = [_pump_term(pump_scale, value, phase) for value in values.tolist()]
+    else:
+        ratio, offset = base_drive.ratio_delta, base_drive.phase_offset
+        terms = [
+            _pump_term(pump_scale, ratio, _effective_phase(value, offset))
+            for value in values.tolist()
+        ]
+    return np.array(terms)
 
 
 def output_field(params: SystemParams, cavity_amp: complex, probe_amp: float) -> complex:

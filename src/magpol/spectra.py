@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,8 +29,7 @@ from .model import (
     DriveField,
     SystemParams,
     _drive_coefficient,
-    _effective_phase,
-    _pump_term,
+    _pump_terms,
     _response_terms,
     _scale_exponent,
 )
@@ -227,31 +226,10 @@ def sweep(
     else:
         raise DomainError(f"unknown sweep axis {axis!r}")
 
-    def coefficient(value):
-        return _drive_coefficient(pump_scale, replace(base_drive, **{field: float(value)}))
-
-    # DriveField accepts an interval of ratios and of phases (nan fails), so
-    # when the smallest and the largest value pass, all do; otherwise the
-    # first value that fails raises its own error, as in a loop over drives.
-    try:
-        coefficient(values.min())
-        coefficient(values.max())
-    except DomainError:
-        for value in values:
-            coefficient(value)
-        raise
-    if axis is SweepAxis.RATIO:
-        phase = base_drive.effective_phase
-        terms = [_pump_term(pump_scale, value, phase) for value in values.tolist()]
-    else:
-        ratio, offset = base_drive.ratio_delta, base_drive.phase_offset
-        terms = [
-            _pump_term(pump_scale, ratio, _effective_phase(value, offset)) for value in values.tolist()
-        ]
     # written in place: a second (values, samples) temporary page-faulted
     # on every call and cost more than the arithmetic
     t = np.empty((values.size, grid.count), dtype=complex)
-    np.divide(np.array(terms).reshape(-1, 1), den, out=t)
+    np.divide(_pump_terms(pump_scale, base_drive, field, values).reshape(-1, 1), den, out=t)
     np.add(t_probe, t, out=t)
     t.flags.writeable = False
     values = values.copy()

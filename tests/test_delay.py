@@ -22,7 +22,6 @@ from magpol.delay import (
     _CHUNK_SAMPLES,
     DelayTrace,
     TransitionSign,
-    _chunk_bounds,
     _DelayKernel,
     delay_at,
     delay_extremum_vs_ratio,
@@ -460,10 +459,12 @@ class TestExtremumBlocks:
         np.testing.assert_array_equal(delay_extremum_vs_ratio(params, phase_eff, ratios, grid), expected)
 
     def test_diverged_picks_inside_blocks(self, params):
-        # a 4001-sample grid holding the root's detuning takes 8 ratios per
-        # block; the root ratio sits twice inside the first block and once
-        # inside the partial second one, and its unmasked argmax is the
-        # diverged sample
+        # on a 4001-sample grid holding the root's detuning the buffers take
+        # 8 whole-grid ratios, but the bound keeps samples 1536-2304 of every
+        # ratio, so all 13 run in one block, the root ratio three times, and
+        # its unmasked argmax is the diverged sample;
+        # TestExtremumPruning.test_diverged_picks_in_pruned_blocks covers
+        # picks in blocks split across the grid
         root = find_zero_reflection(params, self.PHASE)
         grid = DetuningGrid.from_values(root.detuning + 0.005 * np.arange(-2000, 2001))
         assert _BLOCK_SAMPLES // grid.count == 8
@@ -478,7 +479,7 @@ class TestExtremumBlocks:
 
 
 class TestExtremumPruning:
-    """_chunk_bounds bounds the kernel's own |delay| * divisor on every
+    """chunk_bounds bounds the kernel's own |delay| * divisor on every
     sample of a chunk that does not diverge; the scan leaves samples out
     on that bound alone."""
 
@@ -496,7 +497,7 @@ class TestExtremumPruning:
         grid = DetuningGrid(math.ldexp(-span, k), math.ldexp(span, k), 4001)
         kernel = _DelayKernel(scaled(params, k), grid.values, len(ratios))
         pumps = np.array([_pump_term(kernel.pump_scale, ratio, phase_eff) for ratio in ratios])
-        bounds, centres = _chunk_bounds(kernel, pumps)
+        bounds, centres = kernel.chunk_bounds(pumps)
         chunk = np.arange(grid.count) // _CHUNK_SAMPLES
         assert np.array_equal(chunk[centres], np.arange(centres.size))
         delay = kernel(pumps)
