@@ -40,11 +40,11 @@ benchmark's scan (81 ratios, a +-10 MHz grid of 4001 samples, a feature
 about 1.7 MHz wide) that is about a sixth of the samples, and the scan runs
 about twice as fast.  The gain needs a narrow feature in a wide window.  A
 grid of one chunk, or a feature that fills the window, evaluates every
-sample, and the bound and the block-growing loop add about 0.3 ms to an
-81-ratio scan: on the reference device, on the same Xeon, the scan ran
-slower than a whole-grid one below about a thousand samples (0.55 against
-0.22 ms at 2 samples, 1.33 against 1.24 ms at 1025) and faster above (1.21
-against 2.01 ms at 2001).
+sample, and the bound adds about 0.2 ms to an 81-ratio scan: on the
+reference device, on the same Xeon, the scan ran slower than a whole-grid
+one below about 800 samples (0.42 against 0.20 ms at 2 samples, 0.68
+against 0.64 ms at 769) and faster above (0.74 against 0.84 ms at 1025,
+0.68 against 1.38 ms at 2001).
 Chunks of 64 to 128 samples were alike within a few percent, and 32 or 256
 were slower.  A block holds at most (_BLOCK_SAMPLES // samples) x samples
 values, about 2^15, so the kernel's four buffers and the scan's |delay|
@@ -69,7 +69,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .model import DriveField, SystemParams, _drive_coefficient, _pump_term, _response_terms
+from .model import (
+    DriveField,
+    SystemParams,
+    _drive_coefficient,
+    _pump_term,
+    _pump_terms,
+    _response_terms,
+)
 from .spectra import DetuningGrid, _median
 
 ZERO_GUARD = 1e-13
@@ -370,8 +377,13 @@ def find_zero_reflection(
 
     Returns the smallest-ratio root with ratio >= 0, polished by Newton
     iteration on the exact residual, or None when no such root exists (or
-    when it exceeds max_ratio, or the largest double).
+    when it exceeds max_ratio, or the largest double).  DomainError for a
+    phase_eff that is not finite or a max_ratio that is nan.
     """
+    if not math.isfinite(phase_eff):
+        raise DomainError(f"phase_eff must be finite, got {phase_eff}")
+    if max_ratio is not None and math.isnan(max_ratio):
+        raise DomainError(f"max_ratio must be a number, got {max_ratio}")
     _, _, _, pump_scale, exponent = _response_terms(params, 0.0)
     if pump_scale == 0.0:
         return None
@@ -495,23 +507,10 @@ def delay_extremum_vs_ratio(
         raise DomainError("ratio values must be a non-empty 1-d array")
     rows = min(ratio_values.size, max(1, _BLOCK_SAMPLES // grid.count))
     kernel = _DelayKernel(params, grid.values, rows)
-    # DriveField checks the phase and every ratio before any is scanned.  The
-    # ratios it accepts form an interval (nan fails), so when the smallest
-    # and the largest pass, all do; otherwise the first drive that fails
-    # raises its own error.
-    try:
-        drives = [
-            DriveField.with_effective_phase(float(ratio), phase_eff)
-            for ratio in (ratio_values.min(), ratio_values.max())
-        ]
-    except DomainError:
-        for ratio in ratio_values:
-            DriveField.with_effective_phase(float(ratio), phase_eff)
-        raise
-    phase = drives[0].effective_phase
-    pumps = np.array(
-        [_pump_term(kernel.pump_scale, ratio, phase) for ratio in ratio_values.tolist()]
-    )
+    # the first ratio's drive fails first, with its own error, as in a loop
+    # over drives; _pump_terms checks the rest
+    first_drive = DriveField.with_effective_phase(float(ratio_values[0]), phase_eff)
+    pumps = _pump_terms(kernel.pump_scale, first_drive, "ratio_delta", ratio_values)
     capacity = rows * grid.count  # values in each kernel buffer
     first = np.empty(ratio_values.size, dtype=int)
     stop = np.empty_like(first)
@@ -533,16 +532,15 @@ def delay_extremum_vs_ratio(
     magnitudes = np.empty(capacity)
     index = np.arange(ratio_values.size)
     out = np.empty(ratio_values.size)
-    first, stop = first.tolist(), stop.tolist()
     start = 0
     while start < ratio_values.size:
-        # the block grows while its rows times its sample range fit the buffers
-        lo, hi, end = first[start], stop[start], start + 1
-        while end < ratio_values.size:
-            wider = min(lo, first[end]), max(hi, stop[end])
-            if (end + 1 - start) * (wider[1] - wider[0]) > capacity:
-                break
-            (lo, hi), end = wider, end + 1
+        # the block grows while its rows times its sample range fit the
+        # buffers; that product only grows with the block, so the block is
+        # the longest run of ratios from start that fits
+        lo = np.minimum.accumulate(first[start:])
+        hi = np.maximum.accumulate(stop[start:])
+        fits = np.searchsorted(np.arange(1, hi.size + 1) * (hi - lo), capacity, "right")
+        end, lo, hi = start + fits, int(lo[fits - 1]), int(hi[fits - 1])
         delay = kernel(pumps[start:end], lo, hi)
         magnitude = np.absolute(delay, out=magnitudes[: delay.size].reshape(delay.shape))
         rows_here = index[: end - start]
@@ -578,7 +576,9 @@ def detect_abrupt_transition(ratio_values, extremal_delays) -> TransitionReport 
 
     A qualifying pair of adjacent ratios changes the delay sign with
     |delta tau| greater than _JUMP_FACTOR (10) times the median adjacent
-    change.  Returns None when no pair qualifies.
+    change.  Returns None when no pair qualifies.  Both arrays must be
+    finite (DomainError otherwise): a nan passes no comparison, so it would
+    hide a decrease of the ratios or a flip of the sign.
 
     The detector sees only the delays, so it promises no more than the first
     abrupt sign flip of the signed extremal delay.  The paper's transition,
@@ -596,6 +596,10 @@ def detect_abrupt_transition(ratio_values, extremal_delays) -> TransitionReport 
         raise DomainError("ratio and delay arrays must be 1-d and equal length")
     if ratios.size < 3:
         raise DomainError("need at least 3 points to detect a transition")
+    if not np.isfinite(ratios).all():
+        raise DomainError("ratio values must be finite")
+    if not np.isfinite(delays).all():
+        raise DomainError("extremal delays must be finite")
     if np.any(np.diff(ratios) <= 0.0):
         raise DomainError("ratio values must be strictly increasing")
     jumps = np.abs(np.diff(delays))

@@ -250,8 +250,10 @@ def _pump_terms(
             coefficient(value)
         raise
     if name == "ratio_delta":
+        # _pump_term's expression, with the one phase's rotation formed once
         phase = base_drive.effective_phase
-        terms = [_pump_term(pump_scale, value, phase) for value in values.tolist()]
+        rotation = complex(math.cos(phase), -math.sin(phase))
+        terms = [1j * (pump_scale * value) * rotation for value in values.tolist()]
     else:
         ratio, offset = base_drive.ratio_delta, base_drive.phase_offset
         terms = [

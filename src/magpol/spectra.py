@@ -12,6 +12,18 @@ the bare-cavity curve is absorption (MIABS), a strongly two-sided feature is
 Fano-like, and a feature too weak to call is Null.  A label evaluates only
 the samples it reads: those in the feature window and the far-detuned
 samples of its baseline (see classify_regime).
+
+Labels are asked for as tables of drives on one device, so classify_regime
+keeps the drive-free terms of the last device and grid it labelled in one
+module-private entry, and a call with the same device and grid forms only
+what its drive changes.  The entry holds den, t_probe and the bare-cavity
+|t_p| on the window samples (40 bytes per sample), and the far baseline's
+terms once a label needs them; it keeps at most one grid's samples alive.
+A call hits it when its device equals the entry's by value and its grid
+holds the entry's read-only samples array itself (the same DetuningGrid, or
+one sharing its values); grids equal by == may hold different samples.  The
+entry is replaced whole, so concurrent calls are safe, and nothing is built
+at import.
 """
 
 from __future__ import annotations
@@ -316,51 +328,115 @@ def classify_regime(
     the same on any grid that spans the window); a sample that is not
     representable raises DomainError, and so does a grid with no sample
     inside the window.
+
+    The drive-free terms of the last device and grid labelled are kept in
+    one entry (_LabelTerms): den, t_probe, the pump scale and the bare curve
+    on the window samples, 40 bytes per sample, and the far baseline's den,
+    t_probe and pump scale, filled on the first positive-lobe label.  A call
+    whose device equals the entry's by value, on a grid holding the entry's
+    read-only values array itself (the same DetuningGrid object or one
+    sharing its samples; == compares only the ends and the count), forms
+    only the drive's coefficient, |t_p| in the window, the lobes and, on the
+    positive-lobe path, the baseline median.  The entry keeps that one
+    grid's samples alive.  A call that raises leaves it as it was, and
+    concurrent calls are safe: the entry is replaced whole, and its far
+    terms can only ever take one value.
     """
+    global _last_label_terms
     if grid is None:
         grid = default_grid()
-    window = _WINDOW_WIDTHS * params.feature_width()
-    if grid.start > -window or grid.stop < window:
-        raise DomainError(
-            f"grid [{grid.start}, {grid.stop}] does not span the "
-            f"{window:g} MHz feature window"
-        )
-
-    values = grid.values
-    inside = values[np.searchsorted(values, -window) : np.searchsorted(values, window, "right")]
-    if inside.size == 0:
-        raise DomainError(
-            f"grid [{grid.start}, {grid.stop}] with {grid.count} samples has none "
-            f"inside the {window:g} MHz feature window"
-        )
-    exponent = _scale_exponent(params, values[0], values[-1])
-    zc, zm, den, pump_scale, _ = _response_terms(params, inside, exponent)
-    t_probe = _probe_reflection(params, zm, den, exponent)
-    measured = np.abs(t_probe + _drive_coefficient(pump_scale, drive) / den)
-    # the bare cavity (coupling_g = 0, pump off) has den = zc*zm and t_p =
-    # t_probe; zc and zm do not depend on g
-    bare = np.abs(_probe_reflection(params, zm, zc * zm, exponent))
-
-    deviation = measured - bare
-    positive_lobe = float(np.max(deviation, initial=0.0))
-    negative_lobe = float(-np.min(deviation, initial=0.0))
+    terms = _last_label_terms
+    if terms is None or not terms.matches(params, grid):
+        terms = _LabelTerms(params, grid, drive)
+    coefficient = _drive_coefficient(terms.pump_scale, drive)
+    measured = np.abs(terms.t_probe + coefficient / terms.den)
+    deviation = measured - terms.bare
+    positive_lobe = float(deviation.max(initial=0.0))
+    negative_lobe = float(-deviation.min(initial=0.0))
     contrast = max(positive_lobe, negative_lobe)
     if contrast < _CONTRAST_FLOOR:
-        return RegimeLabel.NULL
-    if min(positive_lobe, negative_lobe) > _FANO_LOBE_RATIO * contrast:
-        return RegimeLabel.FANO
-    if positive_lobe >= negative_lobe:
-        half_span = min(
+        label = RegimeLabel.NULL
+    elif min(positive_lobe, negative_lobe) > _FANO_LOBE_RATIO * contrast:
+        label = RegimeLabel.FANO
+    elif positive_lobe >= negative_lobe:
+        far_den, far_probe, far_scale = terms.far
+        baseline = _median(np.abs(far_probe + _drive_coefficient(far_scale, drive) / far_den))
+        peak = float(measured.max())
+        if peak <= baseline * (1.0 + _AMPLIFICATION_TOL):
+            label = RegimeLabel.MIT
+        else:
+            label = RegimeLabel.MIAMP
+    else:
+        label = RegimeLabel.MIABS
+    _last_label_terms = terms
+    return label
+
+
+class _LabelTerms:
+    """classify_regime's drive-free terms for one device on one grid.
+
+    Built from the grid samples inside the feature window: den, t_probe and
+    pump_scale, as _probe_terms_on gives them at the whole grid's prescale,
+    and the bare-cavity |t_p| there; that is 40 bytes per window sample,
+    and the entry keeps the grid's values array alive.  far holds the
+    baseline's (den, t_probe, pump_scale) on the 2 x 60 outer samples of
+    the wide grid, built on the first positive-lobe label.
+
+    The module keeps one entry, the last one a label was made from.  It is
+    replaced whole, and far is only ever set to the one value it can have,
+    so concurrent calls read a consistent entry, at worst building far
+    twice.
+    """
+
+    def __init__(self, params: SystemParams, grid: DetuningGrid, drive: DriveField):
+        """The terms, with classify_regime's errors in its order; drive is
+        checked where its coefficient was always formed, after t_probe and
+        before the bare curve."""
+        window = _WINDOW_WIDTHS * params.feature_width()
+        if grid.start > -window or grid.stop < window:
+            raise DomainError(
+                f"grid [{grid.start}, {grid.stop}] does not span the "
+                f"{window:g} MHz feature window"
+            )
+        values = grid.values
+        inside = values[
+            np.searchsorted(values, -window) : np.searchsorted(values, window, "right")
+        ]
+        if inside.size == 0:
+            raise DomainError(
+                f"grid [{grid.start}, {grid.stop}] with {grid.count} samples has none "
+                f"inside the {window:g} MHz feature window"
+            )
+        exponent = _scale_exponent(params, values[0], values[-1])
+        zc, zm, self.den, self.pump_scale, _ = _response_terms(params, inside, exponent)
+        self.t_probe = _probe_reflection(params, zm, self.den, exponent)
+        _drive_coefficient(self.pump_scale, drive)
+        # the bare cavity (coupling_g = 0, pump off) has den = zc*zm and t_p =
+        # t_probe; zc and zm do not depend on g
+        self.bare = np.abs(_probe_reflection(params, zm, zc * zm, exponent))
+        self.params, self.values = params, values
+        self.half_span = min(
             max(_BASELINE_SPAN * params.kappa_c, grid.stop, -grid.start), MAX_MAGNITUDE
         )
+
+    def matches(self, params: SystemParams, grid: DetuningGrid) -> bool:
+        """Whether these are the terms of params on grid: the device equal
+        by value, and the grid's samples the same read-only array (grids
+        equal by == may hold different samples)."""
+        values = grid.values
+        return (
+            values is self.values
+            and not values.flags.writeable
+            and (params is self.params or params == self.params)
+        )
+
+    @cached_property
+    def far(self):
         # the outer samples include both ends, so the core picks the whole
         # wide grid's prescale
-        far = _outer(np.linspace(-half_span, half_span, DEFAULT_GRID_COUNT))
-        far_den, far_probe, far_scale = _probe_terms_on(params, far)
-        far_t = far_probe + _drive_coefficient(far_scale, drive) / far_den
-        baseline = _median(np.abs(far_t))
-        peak = float(np.max(measured))
-        if peak <= baseline * (1.0 + _AMPLIFICATION_TOL):
-            return RegimeLabel.MIT
-        return RegimeLabel.MIAMP
-    return RegimeLabel.MIABS
+        far = _outer(np.linspace(-self.half_span, self.half_span, DEFAULT_GRID_COUNT))
+        return _probe_terms_on(self.params, far)
+
+
+# The entry classify_regime made its last label from, or None.
+_last_label_terms: _LabelTerms | None = None

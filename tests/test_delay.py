@@ -269,6 +269,23 @@ class TestFindZeroReflection:
         device = SystemParams(3.0, -2.0, 2.225073858507203e-309, 113.9, 1.2, 21.8, 0.6)
         assert find_zero_reflection(device, 0.0) is None
 
+    @pytest.mark.parametrize("phase_eff", [math.inf, -math.inf, math.nan])
+    def test_non_finite_phase_is_rejected(self, params, phase_eff):
+        # inf once failed in math.cos and nan returned None; an uncoupled
+        # device, which has no root at any phase, is rejected too
+        uncoupled = replace(params, coupling_g=0.0)
+        for device in (params, uncoupled):
+            with pytest.raises(DomainError, match=f"phase_eff must be finite, got {phase_eff}"):
+                find_zero_reflection(device, phase_eff)
+
+    def test_nan_max_ratio_is_rejected(self, params):
+        # nan once compared False with every ratio, so the root was returned
+        with pytest.raises(DomainError, match="max_ratio must be a number, got nan"):
+            find_zero_reflection(params, 1.35 * math.pi, max_ratio=math.nan)
+        root = find_zero_reflection(params, 1.35 * math.pi)
+        assert find_zero_reflection(params, 1.35 * math.pi, max_ratio=math.inf) == root
+        assert find_zero_reflection(params, 1.35 * math.pi, max_ratio=-math.inf) is None
+
     @given(valid_params(), st.floats(-20.0, 20.0))
     @settings(max_examples=200, deadline=None)
     def test_property_residual_at_every_root(self, params, phase_eff):
@@ -335,6 +352,21 @@ class TestTransition:
             detect_abrupt_transition([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(DomainError, match="equal length"):
             detect_abrupt_transition([0.0, 1.0, 2.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "ratios,delays,message",
+        [
+            # nan passes the increasing check, since every comparison is False
+            ([0.0, 1.0, math.nan], [1.0, 2.0, 3.0], "ratio values must be finite"),
+            ([0.0, math.inf, 2.0], [1.0, 2.0, 3.0], "ratio values must be finite"),
+            ([0.0, 1.0, 2.0, 3.0], [1.0, 1.1, math.nan, -5.0], "extremal delays must be finite"),
+            # an infinite jump made the median infinite, so no flip qualified
+            ([0.0, 1.0, 2.0, 3.0], [1.0, 1.1, -math.inf, -5.0], "extremal delays must be finite"),
+        ],
+    )
+    def test_non_finite_inputs_are_rejected(self, ratios, delays, message):
+        with pytest.raises(DomainError, match=message):
+            detect_abrupt_transition(ratios, delays)
 
 
 class TestExtremumExactness:

@@ -10,10 +10,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magpol import oracle
 from magpol.errors import DomainError, IntegrationTimeout
-from magpol.model import DriveField, transmission
+from magpol.model import DriveField, SystemParams, transmission
 from magpol.oracle import (
     IntegratorConfig,
     integrate_to_steady,
@@ -58,6 +60,38 @@ def test_matches_closed_form_on_random_draws(draw_system, draw_drive):
         exact = transmission(params, drive, probe_freq)
         integrated = oracle_transmission(params, drive, probe_freq)
         assert abs(integrated - exact) / max(abs(exact), 1e-30) < 1e-8
+
+
+@given(
+    st.floats(-5.0, 5.0),
+    st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+    st.lists(st.floats(0.2, 1.0), min_size=2, max_size=2),
+    st.floats(0.0, 3.0),
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(-2.0, 2.0),
+    st.integers(-600, 150),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_matches_closed_form_at_every_scale(
+    magnon_freq, factors, external, ratio, phase, detuning, k
+):
+    # criterion 08's draw, with every rate, frequency and the probe scaled
+    # by 2**k; the integrator picks its step and horizon from the rates
+    g, kappa_c, kappa_m = factors
+    params = SystemParams(
+        cavity_freq=0.0,
+        magnon_freq=math.ldexp(magnon_freq, k),
+        coupling_g=math.ldexp(7.6 * g, k),
+        kappa_c=math.ldexp(113.9 * kappa_c, k),
+        kappa_m=math.ldexp(1.2 * kappa_m, k),
+        kappa_c1=math.ldexp(21.8 * external[0], k),
+        kappa_m1=math.ldexp(0.6 * external[1], k),
+    )
+    drive = DriveField(ratio_delta=ratio, phase_phi=phase)
+    probe_freq = params.cavity_freq - detuning * params.kappa_c
+    exact = transmission(params, drive, probe_freq)
+    integrated = oracle_transmission(params, drive, probe_freq)
+    assert abs(integrated - exact) / max(abs(exact), 1e-30) < 1e-8
 
 
 def test_tighter_settle_tolerance_is_more_accurate(params):

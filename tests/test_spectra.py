@@ -4,8 +4,11 @@ Frozen magnitudes (baseline levels, the ideal transparency peak) come from
 the verified closed-form evaluation at the published rates.
 """
 
+import copy
 import math
-from dataclasses import replace
+import sys
+import threading
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import valid_drives, valid_params
+from magpol import spectra
 from magpol.errors import DomainError
 from magpol.model import (
     MAX_MAGNITUDE,
@@ -497,3 +501,121 @@ class TestClassifyRegimeReference:
         if start <= -window and stop >= window:
             bare = replace(device, coupling_g=0.0)
             assert _scale_exponent(bare, start, stop) == _scale_exponent(device, start, stop)
+
+
+def _equal_copy(params):
+    """A device equal to params by == but another object, with every zero
+    field negated (0.0 == -0.0)."""
+    return SystemParams(*(-value if value == 0.0 else value for value in astuple(params)))
+
+
+class TestLabelTermsCache:
+    """classify_regime keeps the drive-free terms of its last device and
+    grid; every label and error must stay those of the reference."""
+
+    @given(valid_params(), st.floats(-50.0, 50.0), st.floats(0.0, 1.0), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_property_interleaved_calls_equal_reference(self, first, offset, weaker, data):
+        window = 6.0 * first.feature_width()
+        grid = data.draw(label_grids(window))
+        # a grid whose only samples inside the window are its two edges, as
+        # in test_window_edges_on_grid_samples_are_inside, and a grid equal
+        # to it by == whose upper edge sample moves out by an ulp
+        below, above = (data.draw(st.integers(1, 4)) for _ in range(2))
+        edge = DetuningGrid.from_values(window * (2.0 * np.arange(-below, above + 1) + 1.0))
+        values = edge.values.copy()
+        values[below] = math.nextafter(window, math.inf)
+        nudged = DetuningGrid.from_values(values)
+        assert nudged == edge and not np.array_equal(nudged.values, edge.values)
+        grids = [
+            grid,
+            copy.copy(grid),  # another object holding the same samples
+            edge,
+            nudged,
+            DetuningGrid(-0.5 * window, window, 11),  # misses the window
+            DetuningGrid(-2.0 * window, 2.0 * window, 2),  # no sample inside
+        ]
+        if window <= 60.0:
+            grids.append(None)  # the default grid spans this window
+        # another device whose narrower window the same grids span
+        second = replace(first, magnon_freq=offset, coupling_g=weaker * first.coupling_g)
+        devices = [first, _equal_copy(first), second]
+        # one drive in ten has no probe, which raises
+        drives = st.tuples(valid_drives(), st.integers(0, 9)).map(
+            lambda pair: pair[0] if pair[1] else replace(pair[0], probe_amp=0.0)
+        )
+        calls = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(devices), st.sampled_from(grids), drives),
+                min_size=2,
+                max_size=16,
+            )
+        )
+        for params, grid, drive in calls:
+            assert _label_or_error(classify_regime, params, drive, grid) == _label_or_error(
+                classify_regime_reference, params, drive, grid
+            )
+
+    def test_one_device_builds_its_terms_once(self, params, monkeypatch):
+        # the scan's table: 12 drives on one device, 11 of them hits
+        built = []
+
+        class Counted(spectra._LabelTerms):
+            def __init__(self, *args):
+                built.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(spectra, "_LabelTerms", Counted)
+        monkeypatch.setattr(spectra, "_last_label_terms", None)  # whatever ran before
+        for ratio in (0.2, 1.0, 2.0, 3.0):
+            for phase in (1.25 * math.pi, 1.35 * math.pi, 1.45 * math.pi):
+                classify_regime(params, DriveField.with_effective_phase(ratio, phase))
+        assert built == [params]
+        classify_regime(replace(params, kappa_m=1.3), DriveField(1.0))
+        classify_regime(params, DriveField(1.0), grid=DetuningGrid(-60.0, 60.0, 1201))
+        assert len(built) == 3
+
+    def test_a_call_that_raises_keeps_the_entry(self, params):
+        classify_regime(params, DriveField(1.0))
+        entry = spectra._last_label_terms
+        other = replace(params, kappa_m=1.3)
+        with pytest.raises(DomainError, match="probe_amp"):
+            classify_regime(other, DriveField(1.0, probe_amp=0.0))
+        with pytest.raises(DomainError, match="window"):
+            classify_regime(other, DriveField(1.0), grid=DetuningGrid(-2.0, 2.0, 41))
+        assert spectra._last_label_terms is entry
+
+    def test_concurrent_callers_get_their_own_labels(self, params):
+        # four threads on two devices and two grids replace the entry under
+        # one another at a short switch interval; a label made from another
+        # caller's terms would differ from the reference
+        devices = [params, replace(params, magnon_freq=0.8, coupling_g=5.0)]
+        grids = [None, DetuningGrid(-80.0, 80.0, 1601)]
+        drives = [DriveField(ratio, phase * math.pi) for ratio in (0.15, 1.2, 2.1) for phase in (0.35, 1.35)]
+        cases = [(d, drive, g) for d in devices for g in grids for drive in drives]
+        expected = [classify_regime_reference(*case) for case in cases]
+        assert len(set(expected)) > 2
+        wrong = []
+
+        def worker(offset):
+            for step in range(200):
+                i = (offset + 5 * step) % len(cases)
+                try:
+                    label = classify_regime(*cases[i])
+                except Exception as exc:  # recorded: a thread's error is no failure
+                    label = exc
+                if label is not expected[i]:
+                    wrong.append((cases[i], label))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
