@@ -550,10 +550,17 @@ def _standard_errors(jac: np.ndarray, residual_norm: float) -> list[float]:
     a component above _NULL_COMPONENT_TOL in it is not identified and gets
     inf.  The others get the square root of the diagonal of the
     pseudo-inverse covariance (J^T J)^+ * residual_norm**2 / (m - n).
+
+    Each column is first brought to a peak magnitude in [0.5, 1) by an exact
+    power of two, so that its norm does not underflow on subnormal entries
+    (a device scaled far below the data's detunings); an error past the
+    largest double is inf.
     """
     m, n = jac.shape
     if m <= n:
         return [math.inf] * n
+    _, exponents = np.frexp(np.max(np.abs(jac), axis=0))
+    jac = np.ldexp(jac, -exponents)
     norms = np.linalg.norm(jac, axis=0)
     scale = np.where(norms > 0.0, norms, 1.0)
     r = np.linalg.qr(jac / scale, mode="r")
@@ -562,4 +569,6 @@ def _standard_errors(jac: np.ndarray, residual_norm: float) -> list[float]:
     unidentified = np.linalg.norm(vt[null], axis=0) > _NULL_COMPONENT_TOL
     inverse_diag = np.sum((vt[~null] / singular[~null, None]) ** 2, axis=0)
     errors = np.sqrt(inverse_diag * (residual_norm**2 / (m - n))) / scale
+    with np.errstate(over="ignore"):
+        errors = np.ldexp(errors, -exponents)
     return [math.inf if bad else float(e) for bad, e in zip(unidentified, errors)]

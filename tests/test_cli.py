@@ -930,6 +930,18 @@ _FREE_LISTS = st.one_of(
         }
     ),
 )
+@example(
+    text="[system]\ng = 7.6e-161\nkappa_c = 1.139e-159\nkappa_m = 1.2e-161\n"
+    "kappa_c1 = 2.18e-160\nkappa_m1 = 6e-162\ncavity_freq = 1.0\n"
+    "magnon_freq = -2e-161\n[drive]\ndelta = 0.0\nphi = 0.0\n"
+    "phi0 = 3.141592653589793\nprobe_amp = 1.0\n"
+    "[grid]\nstart = -6e-160\nstop = 6e-160\ncount = 2\n",
+    ratios=[0.0],
+    phases=[0.0],
+    phase_eff=0.0,
+    overrides={},
+    options={"max_ratio": None, "count": 1, "seed": 0, "tol": 1e-12, "free": "coupling_g"},
+)
 @settings(max_examples=40, deadline=None)
 def test_dispatch_property_on_generated_configs(
     text, ratios, phases, phase_eff, overrides, options
@@ -937,7 +949,9 @@ def test_dispatch_property_on_generated_configs(
     """Exit 0, 1 or 2 and never an exception, on any config, drive
     overrides and option values; exit 0 prints no nan (the -inf dB sentinel
     is allowed).  Every drive-level command guards the same drive: when
-    delay or classify exits 0, so does spectrum."""
+    delay or classify exits 0, so does spectrum.  In the example, fit's
+    Jacobian on the trace holds only subnormals: its column norm once
+    underflowed to zero and the standard error overflowed."""
     drive = [f"--{key}={value!r}" for key, value in overrides.items()]
     max_ratio = options["max_ratio"]
     codes = []

@@ -660,3 +660,16 @@ class TestStandardErrors:
         errors = self._assert_matches_the_svd(problem, replace(params, kappa_c=100.0))
         assert errors[1] == math.inf
         assert math.isfinite(errors[0]) and math.isfinite(errors[2])
+
+    def test_a_column_scaled_by_a_power_of_two(self):
+        # 2^-1000 keeps every entry normal: the column's error scales exactly
+        jac = np.random.default_rng(5).normal(size=(40, 2))
+        errors = fit_module._standard_errors(jac, 1.5)
+        scaled = fit_module._standard_errors(jac * np.array([1.0, 2.0**-1000]), 1.5)
+        assert scaled == [errors[0], math.ldexp(errors[1], 1000)]
+
+    def test_a_column_of_subnormals(self):
+        # a device far below the data's detunings: the column's norm must not
+        # underflow to zero, and its error, past the largest double, is inf
+        jac = np.random.default_rng(5).normal(size=(40, 1))
+        assert fit_module._standard_errors(jac * 2.0**-1070, 1.5) == [math.inf]
