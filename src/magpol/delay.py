@@ -16,7 +16,7 @@ where d is d/dDelta_p, and a sample diverges where
 |num|^2 <= ZERO_GUARD^2 * |den|^2.  The kernel builds that mask only on
 request: group_delay always asks for it, and the ratio scan only when the
 largest |delay| of a ratio falls on a diverged sample.  zc, zm and den come
-from the model's core, model._response_terms, which scales every rate,
+from the model's core, model._Response, which scales every rate,
 frequency and detuning by an exact power of two that brings the largest
 below 1; so the squares cannot underflow or overflow because of the overall
 scale of the rates, and the delay is exactly homogeneous: scaling every
@@ -75,7 +75,7 @@ from .model import (
     _drive_coefficient,
     _pump_term,
     _pump_terms,
-    _response_terms,
+    _Response,
 )
 from .spectra import DetuningGrid, _median
 
@@ -95,18 +95,14 @@ _TWO_PI = 2.0 * math.pi
 _JUMP_FACTOR = 10.0
 
 
-def _numerator_terms(params: SystemParams, zc, zm, exponent: int):
-    """(base, slope, dnum_imag, dden_imag) from the core's scaled zc and zm:
+def _numerator_terms(r: _Response):
+    """(base, slope, dnum_imag, dden_imag) of the core's response r:
     num = base + pump term, dnum = slope + i*dnum_imag and
-    dden = slope + i*dden_imag, all in the units of 2^-exponent."""
-    kappa_c1 = math.ldexp(params.kappa_c1, -exponent)
-    g = math.ldexp(params.coupling_g, -exponent)
-    kappa_c = math.ldexp(params.kappa_c, -exponent)
-    kappa_m = math.ldexp(params.kappa_m, -exponent)
-    a_ext = kappa_c - 2.0 * kappa_c1
+    dden = slope + i*dden_imag, all in r's scaled units."""
+    a_ext = r.kappa_c - 2.0 * r.kappa_c1
     # zc - 2*kappa_c1 is i*Delta_p + a_ext, and dnum = i*(zm + zc_ext)
-    base = (zc - 2.0 * kappa_c1) * zm + g * g
-    return base, -zm.imag - zc.imag, kappa_m + a_ext, kappa_m + kappa_c
+    base = (r.zc - 2.0 * r.kappa_c1) * r.zm + r.g * r.g
+    return base, -r.zm.imag - r.zc.imag, r.kappa_m + a_ext, r.kappa_m + r.kappa_c
 
 
 class _DelayKernel:
@@ -127,8 +123,8 @@ class _DelayKernel:
     is built only on request, from the last call's |num|^2.  chunk_bounds,
     for the ratio scan, builds its own drive-free terms on its first call.
 
-    Works in the core's scaled units (near 1e-170 MHz the unscaled |den|
-    underflows to 0) and scales the delay back by dividing by
+    Works on one model._Response's scaled units (near 1e-170 MHz the
+    unscaled |den| underflows to 0) and scales the delay back by dividing by
     2pi * 2^exponent.  Every scaling is exact, so base, den and t = num/den
     keep their bits wherever the unscaled terms are representable.
     """
@@ -136,8 +132,9 @@ class _DelayKernel:
     def __init__(self, params: SystemParams, delta_p: np.ndarray, rows: int = 1):
         """delta_p is increasing, as the core requires; a call may take
         up to rows * delta_p.size values (pumps times samples)."""
-        zc, zm, den, self.pump_scale, exponent = _response_terms(params, delta_p)
-        base, slope, dnum_imag, dden_imag = _numerator_terms(params, zc, zm, exponent)
+        r = _Response(params, delta_p)
+        base, slope, dnum_imag, dden_imag = _numerator_terms(r)
+        den, self.pump_scale = r.den, r.pump_scale
         den_sq = den.real * den.real + den.imag * den.imag
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             self._q = (dden_imag * den.real - slope * den.imag) / den_sq
@@ -148,7 +145,7 @@ class _DelayKernel:
         self._dnum_re, self._dnum_im, self._dden_im = slope, dnum_imag, dden_imag
         # d/d(delta_p) is 2^-exponent times d/d(scaled detuning), so a phase
         # slope in scaled units over this divisor is a delay in us
-        self.divisor = math.ldexp(_TWO_PI, exponent)
+        self.divisor = math.ldexp(_TWO_PI, r.exponent)
         self.base, self.den = base, den
         self._base_re = np.ascontiguousarray(base.real)
         self._base_im = np.ascontiguousarray(base.imag)
@@ -189,10 +186,11 @@ class _DelayKernel:
         delay = np.multiply(self._dnum_im, num_re, out=num_re)
         np.multiply(self._dnum_re[samples], num_im, out=num_im)
         np.subtract(delay, num_im, out=delay)
+        # inf or nan where num is 0, and past the largest double near it
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.divide(delay, num_sq, out=delay)  # inf or nan where num is 0
-        np.subtract(self._q[samples], delay, out=delay)
-        np.divide(delay, self.divisor, out=delay)
+            np.divide(delay, num_sq, out=delay)
+            np.subtract(self._q[samples], delay, out=delay)
+            np.divide(delay, self.divisor, out=delay)
         return delay, num_sq
 
     def diverges_at(self, index, row=0):
@@ -384,34 +382,24 @@ def find_zero_reflection(
         raise DomainError(f"phase_eff must be finite, got {phase_eff}")
     if max_ratio is not None and math.isnan(max_ratio):
         raise DomainError(f"max_ratio must be a number, got {max_ratio}")
-    _, _, _, pump_scale, exponent = _response_terms(params, 0.0)
-    if pump_scale == 0.0:
+    r = _Response(params, 0.0)
+    if r.pump_scale == 0.0:
         return None
-    kappa_c, kappa_m, kappa_c1, g, offset = (
-        math.ldexp(value, -exponent)
-        for value in (
-            params.kappa_c,
-            params.kappa_m,
-            params.kappa_c1,
-            params.coupling_g,
-            params.magnon_freq - params.cavity_freq,
-        )
-    )
-    a_ext = kappa_c - 2.0 * kappa_c1
-    s_lin = kappa_m + a_ext
+    a_ext = r.kappa_c - 2.0 * r.kappa_c1
+    s_lin = r.kappa_m + a_ext
     c = math.cos(phase_eff)
     s = math.sin(phase_eff)
-    if abs(s_lin) < 1e-12 * kappa_c:
+    if abs(s_lin) < 1e-12 * r.kappa_c:
         # the imaginary part no longer pins the detuning; outside this
         # codimension-one parameter slice no root is reported
         return None
-    w = offset * a_ext
-    base = a_ext * kappa_m + g * g
+    w = r.offset * a_ext
+    base = a_ext * r.kappa_m + r.g * r.g
     # quadratic a2*u^2 + a1*u + a0 = 0 in u = pump_scale * ratio, obtained by
     # eliminating the detuning between Im t_p = 0 and Re t_p = 0
     a2 = -c * c
-    a1 = -2.0 * w * c + offset * s_lin * c + s_lin * s_lin * s
-    a0 = -w * w + offset * s_lin * w + s_lin * s_lin * base
+    a1 = -2.0 * w * c + r.offset * s_lin * c + s_lin * s_lin * s
+    a0 = -w * w + r.offset * s_lin * w + s_lin * s_lin * base
     roots = []
     if abs(a2) < 1e-24:
         if a1 != 0.0:
@@ -426,17 +414,17 @@ def find_zero_reflection(
     if not candidates:
         return None
     u = candidates[0]
-    ratio = u / pump_scale
-    detuning = math.ldexp(-(w + u * c) / s_lin, exponent)
+    ratio = u / r.pump_scale
+    detuning = math.ldexp(-(w + u * c) / s_lin, r.exponent)
 
     def response(ratio, detuning):
         """(num, den, dnum) at one detuning, in the scaled units."""
-        zc, zm, den, _, _ = _response_terms(params, detuning, exponent)
-        base, slope, dnum_imag, _ = _numerator_terms(params, zc, zm, exponent)
-        return base + _pump_term(pump_scale, ratio, phase_eff), den, complex(slope, dnum_imag)
+        at = _Response(params, detuning, r.exponent)
+        base, slope, dnum_imag, _ = _numerator_terms(at)
+        return base + _pump_term(r.pump_scale, ratio, phase_eff), at.den, complex(slope, dnum_imag)
 
     # Newton polish on (Re num, Im num); num is linear in the ratio
-    dnum_dratio = _pump_term(pump_scale, 1.0, phase_eff)
+    dnum_dratio = _pump_term(r.pump_scale, 1.0, phase_eff)
     for _ in range(12):
         num, den, dnum = response(ratio, detuning)
         if abs(num) <= 1e-15 * abs(den):
@@ -449,7 +437,7 @@ def find_zero_reflection(
         d_ratio = (-num.real * j11 + num.imag * j01) / det
         d_detuning = (-num.imag * j00 + num.real * j10) / det
         ratio += d_ratio
-        detuning += math.ldexp(d_detuning, exponent)
+        detuning += math.ldexp(d_detuning, r.exponent)
     # a ratio past the largest double (the pump coupling underflows) polishes to nan
     if not (0.0 <= ratio < math.inf and math.isfinite(detuning)):
         return None

@@ -44,8 +44,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .model import MAX_MAGNITUDE, DriveField, SystemParams, _drive_coefficient, _response_terms
-from .spectra import DetuningGrid, _probe_reflection, trace
+from .model import MAX_MAGNITUDE, DriveField, SystemParams, _drive_coefficient, _Response
+from .spectra import DetuningGrid, trace
 
 _SYSTEM_FIELDS = (
     "coupling_g",
@@ -247,22 +247,22 @@ def _candidate(
 
 
 def _model_terms(params: SystemParams, background: BackgroundModel, detunings):
-    """(zc, zm, den, pump_scale, exponent, t_probe, rotation, prefactor):
-    the drive-free factors of the model at these detunings, which the
-    residual and the Jacobian at the same point both read.  zc, zm, den and
-    pump_scale are in the core's units (every rate scaled by 2^-exponent),
-    t_probe = 1 - 2*kappa_c1*zm/den, rotation = exp(i*s*Delta) and
-    prefactor = A*rotation.  With s = 0 the rotation is 1 and the prefactor
-    the float A, which numpy multiplies as A + 0j, so the products keep the
-    bits of the exp form.  DomainError where t_probe is not finite."""
-    zc, zm, den, pump_scale, exponent = _response_terms(params, detunings)
-    t_probe = _probe_reflection(params, zm, den, exponent)
+    """(response, t_probe, rotation, prefactor): the drive-free factors of
+    the model at these detunings, which the residual and the Jacobian at the
+    same point both read.  response is the core's model._Response, with the
+    scaled rates, zc, zm, den and pump_scale, t_probe = response.probe(),
+    rotation = exp(i*s*Delta) and prefactor = A*rotation.  With s = 0 the
+    rotation is 1 and the prefactor the float A, which numpy multiplies as
+    A + 0j, so the products keep the bits of the exp form.  DomainError
+    where t_probe is not finite."""
+    response = _Response(params, detunings)
+    t_probe = response.probe()
     if background.phase_slope == 0.0:
         rotation, prefactor = 1.0, background.amplitude_scale
     else:
         rotation = np.exp(1j * background.phase_slope * detunings)
         prefactor = background.amplitude_scale * rotation
-    return zc, zm, den, pump_scale, exponent, t_probe, rotation, prefactor
+    return response, t_probe, rotation, prefactor
 
 
 def _residual_vector(
@@ -289,8 +289,8 @@ def _residual_vector(
         else:
             shared = _model_terms(params, background, detunings)
         terms.append(shared)
-        _, _, den, pump_scale, _, t_probe, _, prefactor = shared
-        model = prefactor * (t_probe + _drive_coefficient(pump_scale, drive) / den)
+        r, t_probe, _, prefactor = shared
+        model = prefactor * (t_probe + _drive_coefficient(r.pump_scale, drive) / r.den)
         rows = residual[start : start + obs.residual_size]
         if obs.has_phase:
             np.subtract(model, obs.values, out=rows.view(complex))
@@ -300,29 +300,29 @@ def _residual_vector(
     return residual, terms
 
 
-def _response_partials(name, drive, c, zc, zm, g, kappa_c1, kappa_m1):
+def _response_partials(name, drive, c, r):
     """(dN/dp, dden/dp) for a parameter p of t = 1 + N/den, where
     N = c - 2*kappa_c1*zm and c is the pump coefficient of this drive; the
-    rates and p are in the same scaled units as zc, zm and c.  dden/dp is
-    None where den does not depend on p."""
+    rates and p are in the scaled units of the core's response r, as c is.
+    dden/dp is None where den does not depend on p."""
     if name == "coupling_g":
         # c is linear in g, so dc/dg is c at unit coupling
-        unit_scale = 2.0 * math.sqrt(kappa_c1 * kappa_m1)
-        return _drive_coefficient(unit_scale, drive), 2.0 * g
+        unit_scale = 2.0 * math.sqrt(r.kappa_c1 * r.kappa_m1)
+        return _drive_coefficient(unit_scale, drive), 2.0 * r.g
     if name == "kappa_c":
-        return 0.0, zm
+        return 0.0, r.zm
     if name == "kappa_m":
-        return -2.0 * kappa_c1, zc
+        return -2.0 * r.kappa_c1, r.zc
     if name == "kappa_c1":
-        return c / (2.0 * kappa_c1) - 2.0 * zm, None
+        return c / (2.0 * r.kappa_c1) - 2.0 * r.zm, None
     if name == "kappa_m1":
-        return c / (2.0 * kappa_m1), None
+        return c / (2.0 * r.kappa_m1), None
     # Delta_m = Delta + magnon_freq - cavity_freq: the two frequencies enter
     # only through their difference, and their columns are exact negatives
     if name == "cavity_freq":
-        return 2j * kappa_c1, -1j * zc
+        return 2j * r.kappa_c1, -1j * r.zc
     if name == "magnon_freq":
-        return -2j * kappa_c1, 1j * zc
+        return -2j * r.kappa_c1, 1j * r.zc
     return -1j * c, None  # phase_offset
 
 
@@ -339,9 +339,10 @@ def _jacobian(
     With t = 1 + N/den and model = prefactor * t, a response parameter p
     gives dt/dp = (dN/dp - (t - 1) * dden/dp) / den; amplitude_scale and
     phase_slope differentiate the prefactor.  The response partials are
-    taken in the core's scaled units, so a column of a SystemParams field
-    (a rate in MHz) carries the exact factor 2^-exponent.  Magnitude rows
-    are Re(conj(model) * dmodel) / |model|, and 0 where the model vanishes.
+    taken on the scaled rates of the terms' model._Response, so a column of
+    a SystemParams field (a rate in MHz) carries its exact factor scale =
+    2^-exponent.  Magnitude rows are Re(conj(model) * dmodel) / |model|,
+    and 0 where the model vanishes.
 
     J^T is one (n, m) float buffer, and each parameter's row of it is
     written in place.  A complex observation's 2N-wide block is viewed as
@@ -353,19 +354,15 @@ def _jacobian(
     scales = {}  # (per_den, per_rate) by terms tuple, shared on one detuning array
     start = 0
     for obs, size, shared in zip(problem.observations, sizes, terms):
-        zc, zm, den, pump_scale, exponent, _, rotation, prefactor = shared
+        r, _, rotation, prefactor = shared
         drive = obs.drive if offset is None else replace(obs.drive, phase_offset=offset)
-        g, kappa_c1, kappa_m1 = (
-            math.ldexp(rate, -exponent)
-            for rate in (params.coupling_g, params.kappa_c1, params.kappa_m1)
-        )
-        c = _drive_coefficient(pump_scale, drive)
-        q = (c - 2.0 * kappa_c1 * zm) / den
+        c = _drive_coefficient(r.pump_scale, drive)
+        q = (c - 2.0 * r.kappa_c1 * r.zm) / r.den
         t = 1.0 + q
         model = prefactor * t
         if id(shared) not in scales:
-            per_den = prefactor / den
-            scales[id(shared)] = per_den, per_den * math.ldexp(1.0, -exponent)
+            per_den = prefactor / r.den
+            scales[id(shared)] = per_den, per_den * r.scale
         per_den, per_rate = scales[id(shared)]
         block = jac_t[:, start : start + size]
         start += size
@@ -379,7 +376,7 @@ def _jacobian(
             elif name == "phase_slope":
                 np.multiply(1j * obs.grid.values, model, out=out)
             else:
-                d_num, d_den = _response_partials(name, drive, c, zc, zm, g, kappa_c1, kappa_m1)
+                d_num, d_den = _response_partials(name, drive, c, r)
                 scale = per_den if name == "phase_offset" else per_rate
                 if d_den is None:
                     np.multiply(scale, d_num, out=out)
@@ -434,7 +431,10 @@ def _levenberg_marquardt(problem: FitProblem, initial: SystemParams, x, lower):
             message = "gradient below tolerance"
         if message is not None:
             return x, point, residual, jac, gradient, norms, evaluations, True, message
-        x_norm = np.linalg.norm(x)
+        # taken by an exact power of two, as _standard_errors takes its
+        # column norms: x holds phase_offset, which may be any finite number
+        exponent = math.frexp(np.max(np.abs(x)))[1]
+        x_norm = math.ldexp(np.linalg.norm(np.ldexp(x, -exponent)), exponent)
         while True:  # trial steps from x until one lowers the cost
             if evaluations >= max_evaluations:
                 message = f"evaluation cap of {max_evaluations} reached"

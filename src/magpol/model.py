@@ -22,12 +22,17 @@ t_p = output_field / probe_amp (see oracle.py).
 
 Every response path (transmission, spectra.trace and sweep, the regime
 labels, the fit, the group delay and the zero-reflection solver) builds zc,
-zm and den in one core, _response_terms.  It first scales every rate,
+zm and den in one core, _Response.  It first scales every rate,
 frequency and detuning by an exact power of two that brings the largest
 below 1, so no product underflows or overflows because of the overall scale
 of the rates: t_p at rates near 1e-170 MHz is the same number as at the same
 device scaled up by 2^560.  Scaling by a power of two is exact, so t_p keeps
-its bits wherever the unscaled terms are representable.
+its bits wherever the unscaled terms are representable.  A _Response holds
+the prescale (exponent and scale = 2^-exponent), the scaled device
+(kappa_c, kappa_m, kappa_c1, kappa_m1, g and the mode offset), zc, zm, den,
+the pump scale and t_probe through probe(); the other modules take every
+scaled rate from it and read the prescale only to turn a result back into
+MHz.
 
 den never vanishes for a valid device: with kappa_c, kappa_m > 0,
 Re den >= kappa_c*kappa_m wherever Im den = kappa_c*Delta_m + kappa_m*Delta_c
@@ -173,7 +178,7 @@ class ModeAmplitudes:
 
 
 def _scale_exponent(params: SystemParams, *detunings) -> int:
-    """The exponent of _response_terms' prescale: 2^exponent is the smallest
+    """The exponent of _Response's prescale: 2^exponent is the smallest
     power of two above the largest of kappa_c, kappa_m, g, |offset| and the
     given probe detunings in magnitude."""
     offset = params.magnon_freq - params.cavity_freq
@@ -185,29 +190,56 @@ def _scale_exponent(params: SystemParams, *detunings) -> int:
     return exponent
 
 
-def _response_terms(params: SystemParams, delta_p, exponent: int | None = None):
-    """(zc, zm, den, pump_scale, exponent): the drive-free factors of t_p at
-    probe detunings delta_p (a float, or an increasing array), every rate,
-    frequency and detuning scaled by 2^-exponent.
+class _Response:
+    """The drive-free factors of t_p at probe detunings delta_p (a float,
+    or an increasing array), every rate, frequency and detuning scaled by
+    scale = 2^-exponent; with exponent None it is _scale_exponent at
+    delta_p (at the ends of an array).
 
-    zc = i*Delta_p + kappa_c, zm = i*(Delta_p + offset) + kappa_m and
-    den = zc*zm + g*g, with offset = magnon_freq - cavity_freq; the pump
+    kappa_c, kappa_m, kappa_c1, kappa_m1, g and offset = magnon_freq -
+    cavity_freq are the device's, scaled; zc = i*Delta_p + kappa_c,
+    zm = i*(Delta_p + offset) + kappa_m and den = zc*zm + g*g.  The pump
     coefficient of a drive is _pump_term(pump_scale, ratio, phase), at the
-    same scale.  With exponent None it is _scale_exponent at delta_p (at the
-    ends of an array).
+    same scale.
     """
-    offset = params.magnon_freq - params.cavity_freq
-    if exponent is None:
-        ends = (delta_p[0], delta_p[-1]) if isinstance(delta_p, np.ndarray) else (delta_p,)
-        exponent = _scale_exponent(params, *ends)
-    scale = math.ldexp(1.0, -exponent)
-    delta_p = delta_p * scale
-    zc = 1j * delta_p + params.kappa_c * scale
-    zm = 1j * (delta_p + offset * scale) + params.kappa_m * scale
-    g = params.coupling_g * scale
-    den = zc * zm + g * g
-    pump_scale = 2.0 * g * math.sqrt(params.kappa_c1 * scale * (params.kappa_m1 * scale))
-    return zc, zm, den, pump_scale, exponent
+
+    __slots__ = (
+        "exponent", "scale", "kappa_c", "kappa_m", "kappa_c1", "kappa_m1", "g", "offset",
+        "zc", "zm", "den", "pump_scale",
+    )
+
+    def __init__(self, params: SystemParams, delta_p, exponent: int | None = None):
+        if exponent is None:
+            ends = (delta_p[0], delta_p[-1]) if isinstance(delta_p, np.ndarray) else (delta_p,)
+            exponent = _scale_exponent(params, *ends)
+        scale = math.ldexp(1.0, -exponent)
+        self.exponent, self.scale = exponent, scale
+        self.kappa_c = params.kappa_c * scale
+        self.kappa_m = params.kappa_m * scale
+        self.kappa_c1 = params.kappa_c1 * scale
+        self.kappa_m1 = params.kappa_m1 * scale
+        self.g = g = params.coupling_g * scale
+        self.offset = (params.magnon_freq - params.cavity_freq) * scale
+        delta_p = delta_p * scale
+        self.zc = 1j * delta_p + self.kappa_c
+        self.zm = 1j * (delta_p + self.offset) + self.kappa_m
+        self.den = self.zc * self.zm + g * g
+        self.pump_scale = 2.0 * g * math.sqrt(self.kappa_c1 * self.kappa_m1)
+
+    def probe(self, den=None) -> np.ndarray:
+        """t_probe = 1 - 2*kappa_c1*zm/den on array detunings, with den the
+        device's by default (the bare cavity's is zc*zm); DomainError unless
+        it is finite on every sample, which fails only where den underflows
+        (rates spanning about 300 decades)."""
+        if den is None:
+            den = self.den
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t_probe = 1.0 - 2.0 * self.kappa_c1 * self.zm / den
+        if not np.isfinite(t_probe).all():
+            raise DomainError(
+                "reflection is not representable: the response denominator underflows"
+            )
+        return t_probe
 
 
 def _pump_term(pump_scale: float, ratio: float, phase_eff: float) -> complex:
@@ -271,16 +303,16 @@ def output_field(params: SystemParams, cavity_amp: complex, probe_amp: float) ->
 def transmission(params: SystemParams, drive: DriveField, probe_freq: float) -> complex:
     """Normalized complex reflection t_p of the probe tone.
 
-    Raises DomainError where t_p is not representable, which takes rates
-    that span about 300 decades.
+    Raises DomainError for a probe_freq that is not finite, and where t_p
+    is not representable, which takes rates that span about 300 decades.
     """
-    zc, zm, den, pump_scale, exponent = _response_terms(
-        params, params.cavity_freq - probe_freq
-    )
-    pump = _drive_coefficient(pump_scale, drive)
+    if not math.isfinite(probe_freq):
+        raise DomainError(f"probe_freq must be finite, got {probe_freq}")
+    r = _Response(params, params.cavity_freq - probe_freq)
+    pump = _drive_coefficient(r.pump_scale, drive)
     t = math.nan  # den underflows to 0 only across about 300 decades of rates
-    if den != 0.0:
-        t = 1.0 - 2.0 * math.ldexp(params.kappa_c1, -exponent) * zm / den + pump / den
+    if r.den != 0.0:
+        t = 1.0 - 2.0 * r.kappa_c1 * r.zm / r.den + pump / r.den
     if not cmath.isfinite(t):
         raise DomainError("reflection is not representable for these rates")
     return t

@@ -142,9 +142,11 @@ def integrate_to_steady(
 
     Returns amplitudes in the linear-rate normalization under which
     model.output_field gives the reflected probe.  Raises IntegrationTimeout if the windowed settle
-    criterion is not met within max_time, and DomainError if the step count
-    would not be a finite double.
+    criterion is not met within max_time, and DomainError for a probe_freq
+    that is not finite or if the step count would not be a finite double.
     """
+    if not math.isfinite(probe_freq):
+        raise DomainError(f"probe_freq must be finite, got {probe_freq}")
     if config is None:
         config = IntegratorConfig()
     delta_c = params.cavity_freq - probe_freq

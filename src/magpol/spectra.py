@@ -42,7 +42,7 @@ from .model import (
     SystemParams,
     _drive_coefficient,
     _pump_terms,
-    _response_terms,
+    _Response,
     _scale_exponent,
 )
 
@@ -166,34 +166,12 @@ class SpectrumTrace:
         return db
 
 
-def _probe_terms_on(params: SystemParams, detunings: np.ndarray):
-    """(den, t_probe, pump_scale) on increasing probe detunings, shared by
-    every drive; den and pump_scale are in model._response_terms' scaled
-    units, so t_p = t_probe + model._drive_coefficient(pump_scale, drive) / den.
-
-    Raises DomainError unless t_probe is finite on the whole grid, which
-    fails only where den underflows (rates spanning about 300 decades).
-    """
-    _, zm, den, pump_scale, exponent = _response_terms(params, detunings)
-    return den, _probe_reflection(params, zm, den, exponent), pump_scale
-
-
-def _probe_reflection(params: SystemParams, zm, den, exponent: int) -> np.ndarray:
-    """t_probe = 1 - 2*kappa_c1*zm/den from the core's zm and den at this
-    exponent; DomainError unless it is finite on every sample."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_probe = 1.0 - 2.0 * math.ldexp(params.kappa_c1, -exponent) * zm / den
-    if not np.isfinite(t_probe).all():
-        raise DomainError("reflection is not representable: the response denominator underflows")
-    return t_probe
-
-
 def trace(params: SystemParams, drive: DriveField, grid: DetuningGrid | None = None) -> SpectrumTrace:
     """Complex reflection t_p over a detuning grid (default +-60 MHz, 1201)."""
     if grid is None:
         grid = default_grid()
-    den, t_probe, pump_scale = _probe_terms_on(params, grid.values)
-    return SpectrumTrace(grid=grid, t=t_probe + _drive_coefficient(pump_scale, drive) / den)
+    r = _Response(params, grid.values)
+    return SpectrumTrace(grid=grid, t=r.probe() + _drive_coefficient(r.pump_scale, drive) / r.den)
 
 
 class SweepAxis(enum.Enum):
@@ -230,7 +208,8 @@ def sweep(
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise DomainError("sweep axis values must be a non-empty 1-d array")
-    den, t_probe, pump_scale = _probe_terms_on(params, grid.values)
+    r = _Response(params, grid.values)
+    t_probe = r.probe()
     if axis is SweepAxis.PHASE:
         field = "phase_phi"
     elif axis is SweepAxis.RATIO:
@@ -241,7 +220,7 @@ def sweep(
     # written in place: a second (values, samples) temporary page-faulted
     # on every call and cost more than the arithmetic
     t = np.empty((values.size, grid.count), dtype=complex)
-    np.divide(_pump_terms(pump_scale, base_drive, field, values).reshape(-1, 1), den, out=t)
+    np.divide(_pump_terms(r.pump_scale, base_drive, field, values).reshape(-1, 1), r.den, out=t)
     np.add(t_probe, t, out=t)
     t.flags.writeable = False
     values = values.copy()
@@ -359,8 +338,8 @@ def classify_regime(
     elif min(positive_lobe, negative_lobe) > _FANO_LOBE_RATIO * contrast:
         label = RegimeLabel.FANO
     elif positive_lobe >= negative_lobe:
-        far_den, far_probe, far_scale = terms.far
-        baseline = _median(np.abs(far_probe + _drive_coefficient(far_scale, drive) / far_den))
+        far, far_probe = terms.far
+        baseline = _median(np.abs(far_probe + _drive_coefficient(far.pump_scale, drive) / far.den))
         peak = float(measured.max())
         if peak <= baseline * (1.0 + _AMPLIFICATION_TOL):
             label = RegimeLabel.MIT
@@ -375,12 +354,12 @@ def classify_regime(
 class _LabelTerms:
     """classify_regime's drive-free terms for one device on one grid.
 
-    Built from the grid samples inside the feature window: den, t_probe and
-    pump_scale, as _probe_terms_on gives them at the whole grid's prescale,
-    and the bare-cavity |t_p| there; that is 40 bytes per window sample,
-    and the entry keeps the grid's values array alive.  far holds the
-    baseline's (den, t_probe, pump_scale) on the 2 x 60 outer samples of
-    the wide grid, built on the first positive-lobe label.
+    Built from the grid samples inside the feature window: den and
+    pump_scale of the model's _Response there at the whole grid's prescale,
+    its t_probe, and the bare-cavity |t_p|; that is 40 bytes per window
+    sample, and the entry keeps the grid's values array alive.  far holds
+    the baseline's (_Response, t_probe) on the 2 x 60 outer samples of the
+    wide grid, built on the first positive-lobe label.
 
     The module keeps one entry, the last one a label was made from.  It is
     replaced whole, and far is only ever set to the one value it can have,
@@ -407,13 +386,12 @@ class _LabelTerms:
                 f"grid [{grid.start}, {grid.stop}] with {grid.count} samples has none "
                 f"inside the {window:g} MHz feature window"
             )
-        exponent = _scale_exponent(params, values[0], values[-1])
-        zc, zm, self.den, self.pump_scale, _ = _response_terms(params, inside, exponent)
-        self.t_probe = _probe_reflection(params, zm, self.den, exponent)
+        r = _Response(params, inside, _scale_exponent(params, values[0], values[-1]))
+        self.den, self.pump_scale, self.t_probe = r.den, r.pump_scale, r.probe()
         _drive_coefficient(self.pump_scale, drive)
         # the bare cavity (coupling_g = 0, pump off) has den = zc*zm and t_p =
         # t_probe; zc and zm do not depend on g
-        self.bare = np.abs(_probe_reflection(params, zm, zc * zm, exponent))
+        self.bare = np.abs(r.probe(r.zc * r.zm))
         self.params, self.values = params, values
         self.half_span = min(
             max(_BASELINE_SPAN * params.kappa_c, grid.stop, -grid.start), MAX_MAGNITUDE
@@ -434,8 +412,10 @@ class _LabelTerms:
     def far(self):
         # the outer samples include both ends, so the core picks the whole
         # wide grid's prescale
-        far = _outer(np.linspace(-self.half_span, self.half_span, DEFAULT_GRID_COUNT))
-        return _probe_terms_on(self.params, far)
+        far = _Response(
+            self.params, _outer(np.linspace(-self.half_span, self.half_span, DEFAULT_GRID_COUNT))
+        )
+        return far, far.probe()
 
 
 # The entry classify_regime made its last label from, or None.

@@ -4,9 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from magpol.model import DriveField, SystemParams
+
+# python -m pytest --hypothesis-profile=deep runs every property at 25 times
+# its examples, with no deadline; the default profile runs what examples(n)
+# gives at its 100 examples, n.
+settings.register_profile("deep", max_examples=2500, deadline=None)
+
+
+def examples(n: int) -> int:
+    """A property's example count: n under the default profile, scaled by
+    the loaded profile's max_examples over the default's 100."""
+    return n * settings.default.max_examples // 100
 
 REFERENCE = SystemParams(
     cavity_freq=0.0,

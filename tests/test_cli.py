@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 import magpol
 from magpol import cli
 from magpol import fit as fit_mod
@@ -942,16 +943,31 @@ _FREE_LISTS = st.one_of(
     overrides={},
     options={"max_ratio": None, "count": 1, "seed": 0, "tol": 1e-12, "free": "coupling_g"},
 )
-@settings(max_examples=40, deadline=None)
+@example(
+    text="[system]\ng = 7.6\nkappa_c = 113.9\nkappa_m = 1.2\nkappa_c1 = 21.8\n"
+    "kappa_m1 = 0.6\ncavity_freq = 0.0\nmagnon_freq = 0.0\n[drive]\ndelta = 1.0\n"
+    "phi = 1.0995574287564276\nphi0 = 1.3407807929942597e+154\nprobe_amp = 1.0\n"
+    "[grid]\nstart = -60.0\nstop = 60.0\ncount = 21\n",
+    ratios=[1.0],
+    phases=[0.0],
+    phase_eff=0.0,
+    overrides={},
+    options={
+        "max_ratio": None, "count": 1, "seed": 0, "tol": 1e-12, "free": "coupling_g,phase_offset"
+    },
+)
+@settings(max_examples=examples(40), deadline=None)
 def test_dispatch_property_on_generated_configs(
     text, ratios, phases, phase_eff, overrides, options
 ):
     """Exit 0, 1 or 2 and never an exception, on any config, drive
     overrides and option values; exit 0 prints no nan (the -inf dB sentinel
     is allowed).  Every drive-level command guards the same drive: when
-    delay or classify exits 0, so does spectrum.  In the example, fit's
-    Jacobian on the trace holds only subnormals: its column norm once
-    underflowed to zero and the standard error overflowed."""
+    delay or classify exits 0, so does spectrum.  In the first example,
+    fit's Jacobian on the trace holds only subnormals: its column norm once
+    underflowed to zero and the standard error overflowed.  In the second,
+    the free phase_offset is near 1.3e154, and the norm of the fit's
+    parameter vector once overflowed."""
     drive = [f"--{key}={value!r}" for key, value in overrides.items()]
     max_ratio = options["max_ratio"]
     codes = []
@@ -1043,7 +1059,7 @@ def trace_files(draw):
 
 @given(st.lists(trace_files(), min_size=1, max_size=3))
 @example([b"# HZ S MA R 50\n1 1e308 0\n2 1e308 0\n3 1e308 0\n"])
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=examples(50), deadline=None)
 def test_dispatch_property_on_generated_trace_files(files):
     """fit on any trace files exits 0, 1 or 2 and never raises; exit 0
     prints no nan and a finite residual norm.  The example's squares

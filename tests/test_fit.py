@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REFERENCE, valid_params
+from conftest import REFERENCE, examples, valid_params
 from magpol import fit as fit_module
 from magpol.errors import DomainError
 from magpol.fit import (
@@ -389,7 +389,7 @@ class TestJacobian:
         _assert_matches_central_differences(problem, device, x)
 
     @given(valid_params(), st.floats(-4.0, 4.0))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     def test_matches_central_differences_on_any_device(self, device, offset):
         # kept clear of the validity boundary by more than the difference
         # step; complex data only, since |model| has a kink where it vanishes
@@ -501,6 +501,19 @@ class TestConvergedFlag:
         )
         for name in problem.free:
             assert result.values[name] == math.ldexp(expected.values[name], k), name
+
+    def test_a_phase_offset_whose_square_overflows(self):
+        # the step test compares |step| with |x|; x's squares overflowed here,
+        # and any step the data can ask for is below 1e-14 of this |x|
+        offset = 1.3407807929942597e154
+        grid = DetuningGrid(-60.0, 60.0, 21)
+        sample = trace(REFERENCE, DriveField(1.0, 0.35 * math.pi), grid)
+        observation = FitObservation(grid, sample.t, DriveField(1.0, 0.35 * math.pi, offset))
+        problem = FitProblem((observation,), free=("coupling_g", "phase_offset"))
+        result = fit_parameters(problem, REFERENCE)
+        assert result.message == "step below tolerance"
+        assert result.values["phase_offset"] == offset
+        assert math.isfinite(result.values["coupling_g"])
 
     def test_evaluation_cap_is_not_convergence(self, monkeypatch):
         # one free parameter: the start and a single trial step

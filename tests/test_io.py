@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from magpol.config import _format_number, _rows
 from magpol.errors import TraceParseError
 from magpol.io import (
@@ -135,7 +136,7 @@ class TestRowRenderer:
         st.lists(st.floats() | st.sampled_from(SPECIAL_VALUES), max_size=48),
         st.sampled_from([",", " "]),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_rows_match_per_element_format(self, width, values, sep):
         count = len(values) // width
         columns = list(np.array(values[: width * count], dtype=float).reshape(width, count))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import valid_drives, valid_params
+from conftest import examples, valid_drives, valid_params
 from magpol.delay import find_zero_reflection
 from magpol.errors import DomainError
 from magpol.model import (
@@ -139,7 +139,7 @@ class TestDriveField:
         assert drive.effective_phase == pytest.approx(1.5, abs=1e-15)
 
     @given(st.floats(-50.0, 50.0))
-    @settings(max_examples=50)
+    @settings(max_examples=examples(50))
     def test_generic_two_pi_shift_matches_to_rounding(self, phi):
         base = DriveField(ratio_delta=1.0, phase_phi=phi, phase_offset=0.0)
         shifted = DriveField(ratio_delta=1.0, phase_phi=phi + math.tau, phase_offset=0.0)
@@ -221,6 +221,11 @@ class TestTransmission:
         with pytest.raises(DomainError, match="probe_amp"):
             transmission(params, DriveField(ratio_delta=1.0, probe_amp=0.0), 0.0)
 
+    @pytest.mark.parametrize("probe_freq", [math.inf, -math.inf, math.nan])
+    def test_non_finite_probe_rejected(self, params, probe_freq):
+        with pytest.raises(DomainError, match="probe_freq must be finite"):
+            transmission(params, DriveField(ratio_delta=1.0), probe_freq)
+
     def test_phase_enters_through_exponential(self, params):
         # rotating the pump phase rotates only the pump term
         t_probe = transmission(params, DriveField(ratio_delta=0.0), 2.0)
@@ -250,7 +255,7 @@ class TestTransmission:
 
 
 @given(valid_params(), st.floats(-80.0, 80.0))
-@settings(max_examples=100)
+@settings(max_examples=examples(100))
 def test_pump_off_reflection_is_passive(params, delta):
     # without the pump the one-port is passive: |t_p| <= 1
     value = transmission(params, DriveField(ratio_delta=0.0), params.cavity_freq - delta)
@@ -264,7 +269,7 @@ def test_pump_off_reflection_is_passive(params, delta):
     st.floats(1e-3, 2e3),
     st.integers(2, 401),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_pump_off_trace_is_passive(params, drive, start, width, count):
     # |t_p| <= 1 exactly; the computed trace may exceed 1 only by rounding.
     # The allowance is the transmission property's 1e-12, far above the
@@ -324,7 +329,7 @@ class TestHomogeneity:
         self.assert_homogeneous(device, drive, 1.35 * math.pi, k)
 
     @given(valid_params(), valid_drives(), st.floats(-math.pi, math.pi), st.integers(-600, 150))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     def test_property(self, params, drive, phase_eff, k):
         # scaling is exact only for inputs that stay normal doubles
         values = [getattr(params, f.name) for f in fields(params)]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from magpol import oracle
 from magpol.errors import DomainError, IntegrationTimeout
 from magpol.model import DriveField, SystemParams, transmission
@@ -71,7 +72,7 @@ def test_matches_closed_form_on_random_draws(draw_system, draw_drive):
     st.floats(-2.0, 2.0),
     st.integers(-600, 150),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_property_matches_closed_form_at_every_scale(
     magnon_freq, factors, external, ratio, phase, detuning, k
 ):
@@ -167,6 +168,13 @@ def test_unrepresentable_step_count_is_a_domain_error(params, overrides, config)
 def test_zero_probe_transmission_rejected(params):
     with pytest.raises(DomainError, match="probe_amp"):
         oracle_transmission(params, DriveField(ratio_delta=1.0, probe_amp=0.0), 0.0)
+
+
+@pytest.mark.parametrize("probe_freq", [math.inf, -math.inf, math.nan])
+def test_non_finite_probe_rejected(params, probe_freq):
+    # inf once made the step 0, and nan integrated to the step cap
+    with pytest.raises(DomainError, match="probe_freq must be finite"):
+        oracle_transmission(params, DriveField(ratio_delta=1.0), probe_freq)
 
 
 def _stepwise_rk4(za, zm, ig, fa, fm, h, n_window, settle_tol, max_steps):

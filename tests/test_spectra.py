@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import valid_drives, valid_params
+from conftest import examples, valid_drives, valid_params
 from magpol import spectra
 from magpol.errors import DomainError
 from magpol.model import (
@@ -228,7 +228,7 @@ class TestSweep:
 
 
 @given(valid_params(), valid_drives())
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=examples(50), deadline=None)
 def test_trace_equals_transmission_pointwise(params, drive):
     grid = DetuningGrid(-60.0, 60.0, 121)
     result = trace(params, drive, grid)
@@ -253,7 +253,7 @@ _MEDIAN_POOL = st.one_of(
 
 
 class TestMedian:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(
         st.integers(1, 300),
         st.lists(_MEDIAN_POOL, min_size=1, max_size=8),
@@ -464,7 +464,7 @@ def wide_devices(draw):
 
 class TestClassifyRegimeReference:
     @given(valid_params(), valid_drives(), st.data())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_property_label_equals_reference(self, params, drive, data):
         grid = data.draw(label_grids(6.0 * params.feature_width()))
         args = (params, drive, grid)
@@ -489,7 +489,7 @@ class TestClassifyRegimeReference:
         assert classify_regime(*args) is not RegimeLabel.FANO
 
     @given(wide_devices(), st.floats(-0.15, 8.0), st.floats(-0.15, 8.0))
-    @settings(max_examples=200)
+    @settings(max_examples=examples(200))
     def test_bare_cavity_prescale_is_the_coupled_one(self, device, below, above):
         # classify_regime evaluates the bare cavity at the coupled device's
         # prescale: g can raise that prescale only where g > kappa_c, and
@@ -514,7 +514,7 @@ class TestLabelTermsCache:
     grid; every label and error must stay those of the reference."""
 
     @given(valid_params(), st.floats(-50.0, 50.0), st.floats(0.0, 1.0), st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_property_interleaved_calls_equal_reference(self, first, offset, weaker, data):
         window = 6.0 * first.feature_width()
         grid = data.draw(label_grids(window))
