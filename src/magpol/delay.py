@@ -591,18 +591,16 @@ def detect_abrupt_transition(ratio_values, extremal_delays) -> TransitionReport 
     if np.any(np.diff(ratios) <= 0.0):
         raise DomainError("ratio values must be strictly increasing")
     jumps = np.abs(np.diff(delays))
-    median_jump = _median(jumps)
-    for i in range(ratios.size - 1):
-        if delays[i] * delays[i + 1] < 0.0 and jumps[i] > _JUMP_FACTOR * median_jump:
-            sign = (
-                TransitionSign.ADVANCE_TO_DELAY
-                if delays[i] < 0.0
-                else TransitionSign.DELAY_TO_ADVANCE
-            )
-            return TransitionReport(
-                critical_ratio=float(0.5 * (ratios[i] + ratios[i + 1])),
-                jump_sign=sign,
-                peak_advance=float(np.min(delays)),
-                peak_delay=float(np.max(delays)),
-            )
-    return None
+    qualifying = (delays[:-1] * delays[1:] < 0.0) & (jumps > _JUMP_FACTOR * _median(jumps))
+    if not qualifying.any():
+        return None
+    i = int(qualifying.argmax())  # the first qualifying pair
+    sign = (
+        TransitionSign.ADVANCE_TO_DELAY if delays[i] < 0.0 else TransitionSign.DELAY_TO_ADVANCE
+    )
+    return TransitionReport(
+        critical_ratio=float(0.5 * (ratios[i] + ratios[i + 1])),
+        jump_sign=sign,
+        peak_advance=float(np.min(delays)),
+        peak_delay=float(np.max(delays)),
+    )

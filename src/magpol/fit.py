@@ -16,6 +16,17 @@ zm = i*Delta_m + kappa_m, den = zc*zm + g**2 and the pump coefficient c,
 t = 1 + N/den with N = c - 2*kappa_c1*zm, so every parameter derivative is
 dt/dp = (dN/dp - (t - 1)*dden/dp) / den, and the Jacobian is exact.
 
+One table, _PARAMETERS, gives each free parameter its role: the class
+whose field its value sets (SystemParams, the drives' phase_offset, or
+BackgroundModel), which also gives its start, its floor in the fit's box,
+and its Jacobian column as the factors (scale, dN/dp, dden/dp).  At each
+model point the residual forms every term once: the drive-free factors
+(the core's response, t_probe, the background's rotation and prefactor)
+once per distinct detuning array, and each observation's drive, with the
+free phase_offset, and its pump coefficient once.  It hands them to the
+Jacobian, which forms each array's drive-free column factors on first use
+and builds no drive.
+
 The fit is Levenberg-Marquardt (More, "The Levenberg-Marquardt algorithm:
 implementation and theory", Lecture Notes in Mathematics 630, 1978) on that
 Jacobian J and the residual r.  Each step solves the damped normal equations
@@ -40,36 +51,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
 from .model import MAX_MAGNITUDE, DriveField, SystemParams, _drive_coefficient, _Response
 from .spectra import DetuningGrid, trace
-
-_SYSTEM_FIELDS = (
-    "coupling_g",
-    "kappa_c",
-    "kappa_m",
-    "kappa_c1",
-    "kappa_m1",
-    "cavity_freq",
-    "magnon_freq",
-)
-_BACKGROUND_FIELDS = ("amplitude_scale", "phase_slope")
-
-FREE_PARAMETER_NAMES = _SYSTEM_FIELDS + ("phase_offset",) + _BACKGROUND_FIELDS
-DEFAULT_FREE = ("coupling_g", "kappa_c", "kappa_m", "kappa_c1")
-
-# The fit's box: these floors, and no bound on the other parameters.
-_LOWER_BOUNDS = {
-    "coupling_g": 0.0,
-    "kappa_c": 1e-9,
-    "kappa_m": 1e-9,
-    "kappa_c1": 1e-9,
-    "kappa_m1": 1e-9,
-    "amplitude_scale": 1e-9,
-}
 
 _TOLERANCE = 1e-14
 _EVALUATIONS_PER_PARAMETER = 100
@@ -88,10 +76,51 @@ class BackgroundModel:
     phase_slope: float = 0.0
 
     def apply(self, t: np.ndarray, detunings: np.ndarray) -> np.ndarray:
-        return self._prefactor(detunings) * t
+        return self._factors(detunings)[1] * t
 
-    def _prefactor(self, detunings: np.ndarray) -> np.ndarray:
-        return self.amplitude_scale * np.exp(1j * self.phase_slope * detunings)
+    def _factors(self, detunings: np.ndarray):
+        """(rotation, prefactor) at these detunings: rotation =
+        exp(i*phase_slope*detunings) and prefactor = amplitude_scale*rotation.
+        With phase_slope = 0 they are 1 and the float amplitude_scale, which
+        numpy multiplies as amplitude_scale + 0j, the exp form's prefactor,
+        so products keep the bits of the exp form."""
+        if self.phase_slope == 0.0:
+            return 1.0, self.amplitude_scale
+        rotation = np.exp(1j * self.phase_slope * detunings)
+        return rotation, self.amplitude_scale * rotation
+
+
+# Each free parameter: the class whose field its value sets (phase_offset
+# sets every drive's), its floor in the fit's box, and its Jacobian column
+# (scale, dN/dp, dden/dp) from an observation's grid terms k, drive d, pump
+# coefficient c, t and model m (see _jacobian).  The rates are the scaled
+# ones of k.r, as c is; a SystemParams column carries the factor r.scale.
+_PARAMETERS = {
+    # c is linear in g, so dc/dg is c at unit coupling
+    "coupling_g": (SystemParams, 0.0, lambda k, d, c, t, m: (
+        k.per_rate, _drive_coefficient(2.0 * math.sqrt(k.r.kappa_c1 * k.r.kappa_m1), d),
+        2.0 * k.r.g)),
+    "kappa_c": (SystemParams, 1e-9, lambda k, d, c, t, m: (k.per_rate, 0.0, k.r.zm)),
+    "kappa_m": (SystemParams, 1e-9, lambda k, d, c, t, m: (
+        k.per_rate, -2.0 * k.r.kappa_c1, k.r.zc)),
+    "kappa_c1": (SystemParams, 1e-9, lambda k, d, c, t, m: (
+        k.per_rate, c / (2.0 * k.r.kappa_c1) - k.two_zm, None)),
+    "kappa_m1": (SystemParams, 1e-9, lambda k, d, c, t, m: (
+        k.per_rate, c / (2.0 * k.r.kappa_m1), None)),
+    # Delta_m = Delta + magnon_freq - cavity_freq: the two frequencies enter
+    # only through their difference, and their columns are exact negatives
+    "cavity_freq": (SystemParams, -math.inf, lambda k, d, c, t, m: (
+        k.per_rate, 2j * k.r.kappa_c1, k.minus_i_zc)),
+    "magnon_freq": (SystemParams, -math.inf, lambda k, d, c, t, m: (
+        k.per_rate, -2j * k.r.kappa_c1, k.i_zc)),
+    "phase_offset": (DriveField, -math.inf, lambda k, d, c, t, m: (k.per_den, -1j * c, None)),
+    "amplitude_scale": (BackgroundModel, 1e-9, lambda k, d, c, t, m: (k.rotation, t, None)),
+    "phase_slope": (BackgroundModel, -math.inf, lambda k, d, c, t, m: (k.i_delta, m, None)),
+}
+
+FREE_PARAMETER_NAMES = tuple(_PARAMETERS)
+DEFAULT_FREE = ("coupling_g", "kappa_c", "kappa_m", "kappa_c1")
+_SYSTEM_FIELDS = tuple(n for n, (holder, _, _) in _PARAMETERS.items() if holder is SystemParams)
 
 
 @dataclass(frozen=True)
@@ -220,49 +249,70 @@ def synthesize_trace(
 
 
 def _initial_value(name: str, params: SystemParams, problem: FitProblem) -> float:
-    if name in _SYSTEM_FIELDS:
-        return float(getattr(params, name))
-    if name == "phase_offset":
-        return float(problem.observations[0].drive.phase_offset)
-    if name == "amplitude_scale":
-        return 1.0
-    return 0.0
+    """The fit's start for a free parameter: its field in params, in the
+    first observation's drive, or in the default BackgroundModel."""
+    holders = {
+        SystemParams: params,
+        DriveField: problem.observations[0].drive,
+        BackgroundModel: BackgroundModel(),
+    }
+    return float(getattr(holders[_PARAMETERS[name][0]], name))
 
 
 def _candidate(
     problem: FitProblem, base: SystemParams, x: np.ndarray
 ) -> tuple[SystemParams, BackgroundModel, float | None]:
-    system_updates = {}
-    background_updates = {}
-    offset = None
+    """(params, background, offset) at x; offset is None unless
+    phase_offset is free."""
+    updates = {SystemParams: {}, DriveField: {}, BackgroundModel: {}}
     for name, value in zip(problem.free, x):
-        if name in _SYSTEM_FIELDS:
-            system_updates[name] = float(value)
-        elif name == "phase_offset":
-            offset = float(value)
-        else:
-            background_updates[name] = float(value)
-    params = replace(base, **system_updates) if system_updates else base
-    return params, BackgroundModel(**background_updates), offset
+        updates[_PARAMETERS[name][0]][name] = float(value)
+    system, drives, background = updates.values()
+    params = replace(base, **system) if system else base
+    return params, BackgroundModel(**background), drives.get("phase_offset")
 
 
-def _model_terms(params: SystemParams, background: BackgroundModel, detunings):
-    """(response, t_probe, rotation, prefactor): the drive-free factors of
-    the model at these detunings, which the residual and the Jacobian at the
-    same point both read.  response is the core's model._Response, with the
-    scaled rates, zc, zm, den and pump_scale, t_probe = response.probe(),
-    rotation = exp(i*s*Delta) and prefactor = A*rotation.  With s = 0 the
-    rotation is 1 and the prefactor the float A, which numpy multiplies as
-    A + 0j, so the products keep the bits of the exp form.  DomainError
-    where t_probe is not finite."""
-    response = _Response(params, detunings)
-    t_probe = response.probe()
-    if background.phase_slope == 0.0:
-        rotation, prefactor = 1.0, background.amplitude_scale
-    else:
-        rotation = np.exp(1j * background.phase_slope * detunings)
-        prefactor = background.amplitude_scale * rotation
-    return response, t_probe, rotation, prefactor
+class _GridTerms:
+    """The drive-free factors of the model on one detuning array at one
+    model point, shared by every observation on that array: r, the core's
+    model._Response (scaled rates, zc, zm, den and pump_scale), t_probe =
+    r.probe() and the background's rotation and prefactor.  DomainError
+    where t_probe is not finite.  The Jacobian's drive-free arrays are
+    formed on first use, so a rejected trial point forms none of them."""
+
+    def __init__(self, params: SystemParams, background: BackgroundModel, detunings):
+        self.detunings = detunings
+        self.r = _Response(params, detunings)
+        self.t_probe = self.r.probe()
+        self.rotation, self.prefactor = background._factors(detunings)
+
+    @cached_property
+    def per_den(self):
+        return self.prefactor / self.r.den
+
+    @cached_property
+    def per_rate(self):
+        return self.per_den * self.r.scale
+
+    @cached_property
+    def n_probe(self):  # 2*kappa_c1*zm, the probe's part of N
+        return 2.0 * self.r.kappa_c1 * self.r.zm
+
+    @cached_property
+    def two_zm(self):
+        return 2.0 * self.r.zm
+
+    @cached_property
+    def i_zc(self):
+        return 1j * self.r.zc
+
+    @cached_property
+    def minus_i_zc(self):
+        return -1j * self.r.zc
+
+    @cached_property
+    def i_delta(self):
+        return 1j * self.detunings
 
 
 def _residual_vector(
@@ -271,26 +321,27 @@ def _residual_vector(
     background: BackgroundModel,
     offset: float | None,
 ) -> tuple[np.ndarray, list]:
-    """(residual, terms): the residual rows, and each observation's
-    _model_terms for _jacobian at the same point.  A complex observation's
-    2N rows are diff.view(float), Re and Im of each sample in turn.  The
-    terms are evaluated once per distinct detuning array; arrays match by
-    identity or equal values, never by grid equality, since a from_values
-    grid keeps its own samples."""
+    """(residual, terms): the residual rows, and for _jacobian at the same
+    point each observation's (grid terms, drive, pump coefficient c), its
+    drive carrying the free phase_offset.  A complex observation's 2N rows
+    are diff.view(float), Re and Im of each sample in turn.  The grid terms
+    are formed once per distinct detuning array; arrays match by identity or
+    equal values, never by grid equality, since a from_values grid keeps its
+    own samples."""
     residual = np.empty(sum(obs.residual_size for obs in problem.observations))
     terms = []
     start = 0
     for obs in problem.observations:
         drive = obs.drive if offset is None else replace(obs.drive, phase_offset=offset)
         detunings = obs.grid.values
-        for earlier, shared in zip(problem.observations, terms):
+        for earlier, (k, _, _) in zip(problem.observations, terms):
             if earlier.grid.values is detunings or np.array_equal(earlier.grid.values, detunings):
                 break
         else:
-            shared = _model_terms(params, background, detunings)
-        terms.append(shared)
-        r, t_probe, _, prefactor = shared
-        model = prefactor * (t_probe + _drive_coefficient(r.pump_scale, drive) / r.den)
+            k = _GridTerms(params, background, detunings)
+        c = _drive_coefficient(k.r.pump_scale, drive)
+        terms.append((k, drive, c))
+        model = k.prefactor * (k.t_probe + c / k.r.den)
         rows = residual[start : start + obs.residual_size]
         if obs.has_phase:
             np.subtract(model, obs.values, out=rows.view(complex))
@@ -300,97 +351,61 @@ def _residual_vector(
     return residual, terms
 
 
-def _response_partials(name, drive, c, r):
-    """(dN/dp, dden/dp) for a parameter p of t = 1 + N/den, where
-    N = c - 2*kappa_c1*zm and c is the pump coefficient of this drive; the
-    rates and p are in the scaled units of the core's response r, as c is.
-    dden/dp is None where den does not depend on p."""
-    if name == "coupling_g":
-        # c is linear in g, so dc/dg is c at unit coupling
-        unit_scale = 2.0 * math.sqrt(r.kappa_c1 * r.kappa_m1)
-        return _drive_coefficient(unit_scale, drive), 2.0 * r.g
-    if name == "kappa_c":
-        return 0.0, r.zm
-    if name == "kappa_m":
-        return -2.0 * r.kappa_c1, r.zc
-    if name == "kappa_c1":
-        return c / (2.0 * r.kappa_c1) - 2.0 * r.zm, None
-    if name == "kappa_m1":
-        return c / (2.0 * r.kappa_m1), None
-    # Delta_m = Delta + magnon_freq - cavity_freq: the two frequencies enter
-    # only through their difference, and their columns are exact negatives
-    if name == "cavity_freq":
-        return 2j * r.kappa_c1, -1j * r.zc
-    if name == "magnon_freq":
-        return -2j * r.kappa_c1, 1j * r.zc
-    return -1j * c, None  # phase_offset
-
-
 def _jacobian(
     problem: FitProblem,
     params: SystemParams,
     background: BackgroundModel,
     offset: float | None,
     terms: list,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """d(residual)/dx in closed form, rows in _residual_vector's order, from
-    the terms _residual_vector returned at the same point.
+    the terms _residual_vector returned at the same point (which fix params,
+    background and offset).
 
-    With t = 1 + N/den and model = prefactor * t, a response parameter p
-    gives dt/dp = (dN/dp - (t - 1) * dden/dp) / den; amplitude_scale and
-    phase_slope differentiate the prefactor.  The response partials are
-    taken on the scaled rates of the terms' model._Response, so a column of
-    a SystemParams field (a rate in MHz) carries its exact factor scale =
-    2^-exponent.  Magnitude rows are Re(conj(model) * dmodel) / |model|,
-    and 0 where the model vanishes.
+    With t = 1 + q, q = N/den and model = prefactor * t, the column of a
+    response parameter p is scale * (dN/dp - q * dden/dp), or scale * dN/dp
+    where den does not depend on p, with scale = prefactor/den (times the
+    prescale for a SystemParams field); amplitude_scale and phase_slope
+    differentiate the prefactor.  _PARAMETERS gives each column's three
+    factors.  Magnitude rows are Re(conj(model) * dmodel) / |model|, and 0
+    where the model vanishes.
 
-    J^T is one (n, m) float buffer, and each parameter's row of it is
-    written in place.  A complex observation's 2N-wide block is viewed as
-    n complex rows of dmodel, so its rows of J interleave Re and Im of each
-    sample, as the residual's do.  Returns the (m, n) transpose view.
+    J^T is one (n, m) float buffer, out if given, and each parameter's row
+    of it is written in place.  A complex observation's 2N-wide block is
+    viewed as n complex rows of dmodel, so its rows of J interleave Re and
+    Im of each sample, as the residual's do.  Returns the (m, n) transpose
+    view.
     """
-    sizes = [obs.residual_size for obs in problem.observations]
-    jac_t = np.empty((len(problem.free), sum(sizes)))
-    scales = {}  # (per_den, per_rate) by terms tuple, shared on one detuning array
+    columns = [_PARAMETERS[name][2] for name in problem.free]
+    if out is None:
+        out = np.empty((len(columns), sum(obs.residual_size for obs in problem.observations)))
     start = 0
-    for obs, size, shared in zip(problem.observations, sizes, terms):
-        r, _, rotation, prefactor = shared
-        drive = obs.drive if offset is None else replace(obs.drive, phase_offset=offset)
-        c = _drive_coefficient(r.pump_scale, drive)
-        q = (c - 2.0 * r.kappa_c1 * r.zm) / r.den
+    for obs, (k, drive, c) in zip(problem.observations, terms):
+        q = (c - k.n_probe) / k.r.den
         t = 1.0 + q
-        model = prefactor * t
-        if id(shared) not in scales:
-            per_den = prefactor / r.den
-            scales[id(shared)] = per_den, per_den * r.scale
-        per_den, per_rate = scales[id(shared)]
-        block = jac_t[:, start : start + size]
-        start += size
+        model = k.prefactor * t
+        block = out[:, start : start + obs.residual_size]
+        start += obs.residual_size
         if obs.has_phase:
             dmodel = block.view(complex)
         else:  # reduced to the magnitude rows below
-            dmodel = np.empty((len(problem.free), model.size), dtype=complex)
-        for out, name in zip(dmodel, problem.free):
-            if name == "amplitude_scale":
-                np.multiply(rotation, t, out=out)
-            elif name == "phase_slope":
-                np.multiply(1j * obs.grid.values, model, out=out)
+            dmodel = np.empty((len(columns), model.size), dtype=complex)
+        for row, column in zip(dmodel, columns):
+            scale, d_num, d_den = column(k, drive, c, t, model)
+            if d_den is None:
+                np.multiply(scale, d_num, out=row)
             else:
-                d_num, d_den = _response_partials(name, drive, c, r)
-                scale = per_den if name == "phase_offset" else per_rate
-                if d_den is None:
-                    np.multiply(scale, d_num, out=out)
-                else:
-                    np.multiply(q, d_den, out=out)
-                    np.subtract(d_num, out, out=out)
-                    np.multiply(scale, out, out=out)
+                np.multiply(q, d_den, out=row)
+                np.subtract(d_num, row, out=row)
+                np.multiply(scale, row, out=row)
         if not obs.has_phase:
             magnitude = np.abs(model)
             weight = np.divide(
                 model.conj(), magnitude, out=np.zeros_like(model), where=magnitude > 0.0
             )
             block[...] = np.multiply(weight, dmodel, out=dmodel).real
-    return jac_t.T
+    return out.T
 
 
 def _trial_residual(problem, initial, x, lower):
@@ -419,8 +434,9 @@ def _levenberg_marquardt(problem: FitProblem, initial: SystemParams, x, lower):
     max_evaluations = _EVALUATIONS_PER_PARAMETER * x.size
     scale, damping, growth = None, _INITIAL_DAMPING, 2.0
     message = None
+    jac_t = np.empty((x.size, residual.size))  # J^T at each accepted point in turn
     while True:
-        jac = _jacobian(problem, *point, terms)
+        jac = _jacobian(problem, *point, terms, out=jac_t)
         gradient, gram = jac.T @ residual, jac.T @ jac
         norms = np.sqrt(np.diag(gram))
         if scale is None:
@@ -480,11 +496,15 @@ def fit_parameters(
     rates, coupling_g or amplitude_scale, or that makes an invalid model
     (for example an external rate exceeding its total), is rejected like a
     step that does not lower the cost, so every iterate is a valid model.
-    The starting point must lie on or above those floors.  Each residual
-    evaluation computes the drive-independent factors (den, zm and the
-    background prefactor) once per distinct detuning grid and shares them
-    across the observations taken on it; the Jacobian at an accepted point
-    reuses them.
+    The starting point must lie on or above those floors.  Each free
+    parameter's field, start, floor and Jacobian column come from one table
+    (see the module docstring).  Each residual evaluation forms the
+    drive-independent factors (den, zm, t_probe and the background
+    prefactor) once per distinct detuning grid and shares them across the
+    observations taken on it, and each observation's drive and pump
+    coefficient once; the Jacobian at an accepted point reuses all of them
+    and forms its own drive-free factors once per grid.  Every Jacobian of
+    one fit is written into one buffer.
 
     The gradient stop test divides by the column scale D.  When every free
     parameter is a rate or frequency, scaling every rate, frequency and
@@ -507,7 +527,7 @@ def fit_parameters(
         free.remove("phase_slope")
         problem = replace(problem, free=tuple(free))
     x0 = np.array([_initial_value(n, initial, problem) for n in free])
-    lower = np.array([_LOWER_BOUNDS.get(n, -np.inf) for n in free])
+    lower = np.array([_PARAMETERS[n][1] for n in free])
     for name, value, bound in zip(free, x0, lower):
         if value < bound:
             raise DomainError(
@@ -527,9 +547,7 @@ def fit_parameters(
     return FitResult(
         params=params,
         background=background,
-        phase_offset=offset
-        if offset is not None
-        else float(problem.observations[0].drive.phase_offset),
+        phase_offset=_initial_value("phase_offset", initial, problem) if offset is None else offset,
         free=tuple(free),
         values={n: float(v) for n, v in zip(free, x)},
         stderr={n: s for n, s in zip(free, stderr)},
@@ -559,11 +577,14 @@ def _standard_errors(jac: np.ndarray, residual_norm: float) -> list[float]:
     m, n = jac.shape
     if m <= n:
         return [math.inf] * n
-    _, exponents = np.frexp(np.max(np.abs(jac), axis=0))
-    jac = np.ldexp(jac, -exponents)
-    norms = np.linalg.norm(jac, axis=0)
+    scaled = np.abs(jac)  # one m by n copy, in jac's layout, reused below
+    _, exponents = np.frexp(np.max(scaled, axis=0))
+    np.ldexp(jac, -exponents, out=scaled)
+    # np.linalg.norm's arithmetic for real columns, without its temporaries
+    norms = np.sqrt(np.add.reduce(scaled * scaled, axis=0))
     scale = np.where(norms > 0.0, norms, 1.0)
-    r = np.linalg.qr(jac / scale, mode="r")
+    scaled /= scale
+    r = np.linalg.qr(scaled, mode="r")
     _, singular, vt = np.linalg.svd(r)
     null = singular <= _NULL_SPACE_RTOL * singular[0]
     unidentified = np.linalg.norm(vt[null], axis=0) > _NULL_COMPONENT_TOL

@@ -75,8 +75,9 @@ class IntegratorConfig:
 
 def _resolved(
     config: IntegratorConfig, params: SystemParams, delta_c: float, delta_m: float
-) -> tuple[float, float, int, int]:
-    """(step, max_time, n_window, max_steps) for this system, filling in auto values.
+) -> tuple[float, float, int, int, str]:
+    """(step, max_time, n_window, max_steps, span) for this system, filling
+    in auto values; span names the rates' spread for an error.
 
     Raises DomainError when the rates span so many orders of magnitude that a
     step count is not a finite double.
@@ -92,12 +93,10 @@ def _resolved(
         max_time = 3.0 * (math.log(1.0 / config.settle_tol) + 5.0) / (_TWO_PI * kappa_min)
     decay_time = 1.0 / (_TWO_PI * kappa_min)
     window_steps, total_steps = decay_time / step, max_time / step
+    span = f"rates from {kappa_min:g} to {f_max:g} MHz are too far apart to integrate"
     if not math.isfinite(max(window_steps, total_steps)):
-        raise DomainError(
-            f"rates from {kappa_min:g} to {f_max:g} MHz are too far apart to "
-            f"integrate: step {step:g} us, max_time {max_time:g} us"
-        )
-    return step, max_time, max(1, int(window_steps)), int(total_steps) + 1
+        raise DomainError(f"{span}: step {step:g} us, max_time {max_time:g} us")
+    return step, max_time, max(1, int(window_steps)), int(total_steps) + 1, span
 
 
 def _run_windows(za, zm, ig, fa, fm, h, n_window, settle_tol, max_steps):
@@ -108,7 +107,9 @@ def _run_windows(za, zm, ig, fa, fm, h, n_window, settle_tol, max_steps):
     amplitudes over one window is at most settle_tol, or until at least
     max_steps steps have been taken.
 
-    Returns (a, m, steps_taken, settled, last_change).
+    Returns (a, m, steps_taken, settled, last_change).  DomainError when the
+    window's map is not finite: a window of very many steps, from rates
+    that span many decades, overflows the powers of the step map.
     """
     z = h * np.array([[za, -ig], [-ig, zm]])
     eye = np.eye(2)
@@ -116,7 +117,10 @@ def _run_windows(za, zm, ig, fa, fm, h, n_window, settle_tol, max_steps):
     step_map = np.eye(3, dtype=complex)
     step_map[:2, :2] = eye + z @ poly
     step_map[:2, 2] = h * (poly @ np.array([fa, fm]))
-    window = np.linalg.matrix_power(step_map, n_window)
+    with np.errstate(over="ignore", invalid="ignore"):
+        window = np.linalg.matrix_power(step_map, n_window)
+    if not np.isfinite(window).all():
+        raise DomainError(f"the map of a window of {n_window:g} steps is not finite")
     (waa, wam, wa), (wma, wmm, wm) = window[:2].tolist()
     a = m = 0j
     steps = 0
@@ -143,7 +147,8 @@ def integrate_to_steady(
     Returns amplitudes in the linear-rate normalization under which
     model.output_field gives the reflected probe.  Raises IntegrationTimeout if the windowed settle
     criterion is not met within max_time, and DomainError for a probe_freq
-    that is not finite or if the step count would not be a finite double.
+    that is not finite, or where the rates span so many decades that the
+    step count or a window's map is not a finite double.
     """
     if not math.isfinite(probe_freq):
         raise DomainError(f"probe_freq must be finite, got {probe_freq}")
@@ -151,7 +156,7 @@ def integrate_to_steady(
         config = IntegratorConfig()
     delta_c = params.cavity_freq - probe_freq
     delta_m = params.magnon_freq - probe_freq
-    step, max_time, n_window, max_steps = _resolved(config, params, delta_c, delta_m)
+    step, max_time, n_window, max_steps, span = _resolved(config, params, delta_c, delta_m)
 
     za = -(1j * delta_c + params.kappa_c) * _TWO_PI
     zm = -(1j * delta_m + params.kappa_m) * _TWO_PI
@@ -164,9 +169,12 @@ def integrate_to_steady(
         * cmath.exp(-1j * drive.effective_phase)
     )
 
-    a, m, steps, settled, change = _run_windows(
-        za, zm, ig, fa, fm, step, n_window, config.settle_tol, max_steps
-    )
+    try:
+        a, m, steps, settled, change = _run_windows(
+            za, zm, ig, fa, fm, step, n_window, config.settle_tol, max_steps
+        )
+    except DomainError as exc:
+        raise DomainError(f"{span}: {exc}") from None
     if not settled:
         raise IntegrationTimeout(
             f"no steady state within {max_time:g} us "

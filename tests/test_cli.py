@@ -956,6 +956,18 @@ _FREE_LISTS = st.one_of(
         "max_ratio": None, "count": 1, "seed": 0, "tol": 1e-12, "free": "coupling_g,phase_offset"
     },
 )
+@example(
+    text="[system]\ng = 7.6e-18\nkappa_c = 1.0\nkappa_m = 1.2e-18\n"
+    "kappa_c1 = 2.18e-17\nkappa_m1 = 6e-19\ncavity_freq = 3e-18\n"
+    "magnon_freq = -2e-18\n[drive]\ndelta = 0.0\nphi = 0.0\n"
+    "phi0 = 3.141592653589793\nprobe_amp = 1.0\n"
+    "[grid]\nstart = -6e-17\nstop = 6e-17\ncount = 2\n",
+    ratios=[0.0],
+    phases=[0.0],
+    phase_eff=0.0,
+    overrides={},
+    options={"max_ratio": None, "count": 1, "seed": 0, "tol": 1e-12, "free": "coupling_g"},
+)
 @settings(max_examples=examples(40), deadline=None)
 def test_dispatch_property_on_generated_configs(
     text, ratios, phases, phase_eff, overrides, options
@@ -967,7 +979,8 @@ def test_dispatch_property_on_generated_configs(
     fit's Jacobian on the trace holds only subnormals: its column norm once
     underflowed to zero and the standard error overflowed.  In the second,
     the free phase_offset is near 1.3e154, and the norm of the fit's
-    parameter vector once overflowed."""
+    parameter vector once overflowed.  In the third, a window of the
+    oracle's integrator is about 1e20 steps, and its map once overflowed."""
     drive = [f"--{key}={value!r}" for key, value in overrides.items()]
     max_ratio = options["max_ratio"]
     codes = []

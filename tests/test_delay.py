@@ -20,7 +20,9 @@ from conftest import REFERENCE, examples, valid_drives, valid_params
 from magpol.delay import (
     _BLOCK_SAMPLES,
     _CHUNK_SAMPLES,
+    _JUMP_FACTOR,
     DelayTrace,
+    TransitionReport,
     TransitionSign,
     _DelayKernel,
     delay_at,
@@ -39,7 +41,7 @@ from magpol.model import (
     _Response,
     transmission,
 )
-from magpol.spectra import DetuningGrid
+from magpol.spectra import DetuningGrid, _median
 
 
 def fd_phase_slope_delay(params, drive, detuning, h=1e-4):
@@ -320,7 +322,59 @@ class TestFindZeroReflection:
         assert found >= 20  # sin(phase) < 0 guarantees a root almost always
 
 
+def transition_reference(ratios, delays):
+    """detect_abrupt_transition as a loop over adjacent pairs, for finite,
+    valid input: the first pair that changes sign with a jump above
+    _JUMP_FACTOR times the median jump."""
+    jumps = np.abs(np.diff(delays))
+    median_jump = _median(jumps)
+    for i in range(ratios.size - 1):
+        if delays[i] * delays[i + 1] < 0.0 and jumps[i] > _JUMP_FACTOR * median_jump:
+            sign = (
+                TransitionSign.ADVANCE_TO_DELAY
+                if delays[i] < 0.0
+                else TransitionSign.DELAY_TO_ADVANCE
+            )
+            return TransitionReport(
+                critical_ratio=float(0.5 * (ratios[i] + ratios[i + 1])),
+                jump_sign=sign,
+                peak_advance=float(np.min(delays)),
+                peak_delay=float(np.max(delays)),
+            )
+    return None
+
+
+# exact zeros of both signs, small integers (jumps that land exactly on
+# _JUMP_FACTOR times the median) and any moderate float
+_DELAY_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.integers(-40, 40).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@st.composite
+def transition_inputs(draw):
+    """Strictly increasing ratios and delays made of constant runs."""
+    lengths = st.sampled_from([1, 1, 1, 2, 4])
+    runs = draw(st.lists(st.tuples(_DELAY_VALUES, lengths), min_size=3, max_size=30))
+    delays = np.array([value for value, count in runs for _ in range(count)])
+    size = delays.size - 1
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=size, max_size=size))
+    return np.concatenate([[0.0], np.cumsum(steps)]), delays
+
+
 class TestTransition:
+    @given(transition_inputs())
+    @example((np.arange(4.0), np.array([1.0, 2.0, 3.0, -7.0])))  # a jump of exactly 10 medians
+    @example((np.arange(4.0), np.array([1.0, 2.0, 3.0, -7.5])))
+    @example((np.arange(5.0), np.array([-0.0, 5.0, 5.0, 0.0, -3.0])))
+    @settings(max_examples=examples(200), deadline=None)
+    def test_first_qualifying_pair_matches_the_loop(self, inputs):
+        ratios, delays = inputs
+        report = detect_abrupt_transition(ratios, delays)
+        assert repr(report) == repr(transition_reference(ratios, delays))
+
     def test_reference_transition_at_the_root(self, params):
         grid = DetuningGrid(-10.0, 10.0, 4001)
         ratios = np.round(np.arange(0.0, 4.0001, 0.05), 10)

@@ -441,6 +441,44 @@ class TestJacobian:
         assert not np.any(jac[-rows:])
 
 
+class TestJacobianSharing:
+    """The Jacobian forms each grid's drive-free arrays once and shares them
+    across the observations on equal detunings; each observation's rows
+    must equal, bit for bit, its rows in a problem that holds it alone."""
+
+    @pytest.mark.parametrize(
+        "background",
+        [BackgroundModel(), BackgroundModel(amplitude_scale=0.95, phase_slope=0.003)],
+    )
+    @pytest.mark.parametrize("offset", [None, 0.4])
+    @pytest.mark.parametrize("layout", ["shared", "equal-valued", "twin-first", "twin-between"])
+    def test_rows_equal_each_observation_alone(self, params, background, offset, layout):
+        grid = DetuningGrid(-60.0, 60.0, 241)
+        shifted = grid.values.copy()
+        shifted[1:-1] += 1e-12
+        twin = DetuningGrid.from_values(shifted)
+        grids = {
+            "shared": [grid, grid, grid],
+            "equal-valued": [DetuningGrid(-60.0, 60.0, 241) for _ in range(3)],
+            "twin-first": [twin, grid, twin],
+            "twin-between": [grid, twin, grid],
+        }[layout]
+        # two complex observations and a magnitude-only one, every parameter free
+        problem = replace(
+            TestResidualExactness._problem(params, grids), free=FREE_PARAMETER_NAMES
+        )
+        point = (_perturbed(params), background, offset)
+        jac = _jacobian(problem, *point, _residual_vector(problem, *point)[1])
+        start = 0
+        for obs in problem.observations:
+            alone = replace(problem, observations=(obs,))
+            expected = _jacobian(alone, *point, _residual_vector(alone, *point)[1])
+            rows = jac[start : start + obs.residual_size]
+            assert rows.tobytes() == expected.tobytes()
+            start += obs.residual_size
+        assert start == jac.shape[0]
+
+
 def _benchmark_problem(case, rng):
     """Three noisy traces of the reference device as the benchmark draws
     them: complex at 40 dB, or their magnitudes, with the default free set."""

@@ -165,6 +165,20 @@ def test_unrepresentable_step_count_is_a_domain_error(params, overrides, config)
         integrate_to_steady(system, DriveField(ratio_delta=1.0), 0.0, config)
 
 
+def test_overflowing_window_map_is_a_domain_error():
+    # oracle-check's first draw (seed 0) on a device with kappa_m = 1.2e-18
+    # and kappa_c = 1: the step count is finite, but a window is about 9e19
+    # steps, the step map's powers overflowed in matmul and the settle test
+    # saw nan
+    system = SystemParams(
+        0.0, 0.021400263643977235, 6.8755685369081214e-18, 0.5614602859042921,
+        6.297497439513524e-19, 1.8543432971652752e-17, 5.581226770933064e-19,
+    )
+    drive = DriveField(ratio_delta=1.8199073273015396, phase_phi=4.583562073612696)
+    with pytest.raises(DomainError, match="too far apart to integrate: the map of a window"):
+        integrate_to_steady(system, drive, -0.09797480072299458)
+
+
 def test_zero_probe_transmission_rejected(params):
     with pytest.raises(DomainError, match="probe_amp"):
         oracle_transmission(params, DriveField(ratio_delta=1.0, probe_amp=0.0), 0.0)
