@@ -13,38 +13,41 @@ computes the analytic delay in real arithmetic.  With t_p = num/den,
     tau = (Im(dden/den) - (Im dnum * Re num - Re dnum * Im num) / |num|^2) / 2pi
 
 where d is d/dDelta_p, and a sample diverges where
-|num|^2 <= ZERO_GUARD^2 * |den|^2.  The kernel builds that mask only on
-request: group_delay always asks for it, and the ratio scan only when the
-largest |delay| of a ratio falls on a diverged sample.  zc, zm and den come
-from the model's core, model._Response, which scales every rate,
-frequency and detuning by an exact power of two that brings the largest
-below 1; so the squares cannot underflow or overflow because of the overall
-scale of the rates, and the delay is exactly homogeneous: scaling every
-input by 2^k divides it by 2^k bit for bit.  den itself never vanishes for
-a valid device (Re den >= kappa_c*kappa_m wherever Im den = 0; see
-model.py), so the only guard is on num; a den that underflows to 0 even
-after the prescale, which takes rates spanning about 300 decades, is a
-DomainError.
+|num|^2 <= ZERO_GUARD^2 * |den|^2.  A kernel call returns that test beside
+the delay, and the mask is built only on request: group_delay always asks
+for it, and the ratio scan only when the largest |delay| of a ratio falls
+on a diverged sample.  zc, zm and den come from the model's core,
+model._Response, which scales every rate, frequency and detuning by an
+exact power of two that brings the largest below 1; so the squares cannot
+underflow or overflow because of the overall scale of the rates, and the
+delay is exactly homogeneous: scaling every input by 2^k divides it by 2^k
+bit for bit.  den itself never vanishes for a valid device (Re den >=
+kappa_c*kappa_m wherever Im den = 0; see model.py), so the only guard is on
+num; a den that underflows to 0 even after the prescale, which takes rates
+spanning about 300 decades, is a DomainError.
 
-A kernel call takes one pump term (group_delay, delay_at) or a 1-d block of
-them (the ratio scan), on all samples or a contiguous range of them, and
-evaluates a block as one (ratios, samples) array with the same ufuncs in
-the same order, so every sample of every row has the bits of a whole-grid
-call with its pump alone.  Per sample the kernel cannot go faster in numpy:
-on the scan's 8 x 4001 blocks it is bound by L2 bandwidth (about 161 us per
-block on the 2-vCPU Xeon it was measured on, 2 MB of L2 per core).  So the
-scan evaluates fewer samples.  delay_extremum_vs_ratio bounds |delay| on
-chunks of _CHUNK_SAMPLES samples (_DelayKernel.chunk_bounds) and runs the
-kernel only on the chunks that can hold a ratio's extremum; on the
-benchmark's scan (81 ratios, a +-10 MHz grid of 4001 samples, a feature
-about 1.7 MHz wide) that is about a sixth of the samples, and the scan runs
-about twice as fast.  The gain needs a narrow feature in a wide window.  A
-grid of one chunk, or a feature that fills the window, evaluates every
-sample, and the bound adds about 0.2 ms to an 81-ratio scan: on the
-reference device, on the same Xeon, the scan ran slower than a whole-grid
-one below about 800 samples (0.42 against 0.20 ms at 2 samples, 0.68
-against 0.64 ms at 769) and faster above (0.74 against 0.84 ms at 1025,
-0.68 against 1.38 ms at 2001).
+A kernel call takes a 1-d array of pump terms (one for group_delay and
+delay_at, a block of them for the ratio scan) and the samples as a slice
+(all of them, or a contiguous range) or an index array (the scan's chunk
+centres).  It evaluates them as one (pumps, samples) array with the same
+ufuncs in the same order, so every sample of every row has the bits of a
+whole-grid call with its pump alone.  The delay and diverged test it
+returns live in the kernel's buffers until the next call, so a caller takes
+what it needs from one call before it makes the next.  Per sample the
+kernel cannot go faster in numpy: on the scan's 8 x 4001 blocks it is bound
+by L2 bandwidth (about 161 us per block on the 2-vCPU Xeon it was measured
+on, 2 MB of L2 per core).  So the scan evaluates fewer samples.
+delay_extremum_vs_ratio bounds |delay| on chunks of _CHUNK_SAMPLES samples
+(_DelayKernel.chunk_bounds) and runs the kernel only on the chunks that can
+hold a ratio's extremum; on the benchmark's scan (81 ratios, a +-10 MHz
+grid of 4001 samples, a feature about 1.7 MHz wide) that is about a sixth
+of the samples, and the scan runs about twice as fast.  The gain needs a
+narrow feature in a wide window.  A grid of one chunk, or a feature that
+fills the window, evaluates every sample, and the bound adds about 0.2 ms
+to an 81-ratio scan: on the reference device, on the same Xeon, the scan
+ran slower than a whole-grid one below about 800 samples (0.42 against 0.20
+ms at 2 samples, 0.68 against 0.64 ms at 769) and faster above (0.74
+against 0.84 ms at 1025, 0.68 against 1.38 ms at 2001).
 Chunks of 64 to 128 samples were alike within a few percent, and 32 or 256
 were slower.  A block holds at most (_BLOCK_SAMPLES // samples) x samples
 values, about 2^15, so the kernel's four buffers and the scan's |delay|
@@ -111,17 +114,18 @@ class _DelayKernel:
     Implements the module docstring's formula.  Everything that does not
     depend on the drive (Re and Im of base, Re dnum, q = Im(dden/den) and
     the guard limit ZERO_GUARD^2 * |den|^2) is built once as contiguous
-    float64 arrays; Im dnum is a constant.  A call takes one complex pump
-    term, or a 1-d block of them, and a contiguous range of samples (by
-    default all), and costs eleven ufunc calls on four preallocated
-    buffers, with no complex division, complex temporary or boolean-index
-    copy; the cross term overwrites num in place, which moves less memory
-    than writing a fifth buffer.  A block broadcasts the drive-free rows
-    against a column of pumps, and every ufunc here rounds each element on
-    its own, so each sample of row i has the bits of a whole-grid call with
-    pump i alone, and so do the samples that at() picks.  The diverged mask
-    is built only on request, from the last call's |num|^2.  chunk_bounds,
-    for the ratio scan, builds its own drive-free terms on its first call.
+    float64 arrays; Im dnum is a constant.  A call takes a 1-d array of
+    complex pump terms and the samples as a slice or an index array, and
+    costs eleven ufunc calls on four buffers sized once by the constructor,
+    with no complex division, complex temporary or boolean-index copy; the
+    cross term overwrites num in place, which moves less memory than
+    writing a fifth buffer.  The drive-free rows broadcast against a column
+    of pumps, and every ufunc here rounds each element on its own, so each
+    sample of row i has the bits of a whole-grid call with pump i alone.
+    The call returns the delay and its diverged test, which reads the
+    call's |num|^2; both live in the buffers until the next call.
+    chunk_bounds, for the ratio scan, builds its own drive-free terms on
+    its first call.
 
     Works on one model._Response's scaled units (near 1e-170 MHz the
     unscaled |den| underflows to 0) and scales the delay back by dividing by
@@ -130,8 +134,10 @@ class _DelayKernel:
     """
 
     def __init__(self, params: SystemParams, delta_p: np.ndarray, rows: int = 1):
-        """delta_p is increasing, as the core requires; a call may take
-        up to rows * delta_p.size values (pumps times samples)."""
+        """delta_p is increasing, as the core requires.  The buffers take
+        rows times delta_p.size rounded up to whole chunks of
+        _CHUNK_SAMPLES: rows whole-grid pumps, or rows * _CHUNK_SAMPLES
+        pumps at every chunk's centre."""
         r = _Response(params, delta_p)
         base, slope, dnum_imag, dden_imag = _numerator_terms(r)
         den, self.pump_scale = r.den, r.pump_scale
@@ -149,37 +155,26 @@ class _DelayKernel:
         self.base, self.den = base, den
         self._base_re = np.ascontiguousarray(base.real)
         self._base_im = np.ascontiguousarray(base.imag)
-        self._buffers = np.empty((4, rows * base.size))
+        chunks = -(-base.size // _CHUNK_SAMPLES)
+        self._buffers = np.empty((4, rows * chunks * _CHUNK_SAMPLES))
 
-    def __call__(self, pump, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """The delay in us for num = base + pump on samples start:stop, in a
-        buffer that the next call overwrites; diverged samples hold inf or
-        nan.  A complex pump gives one delay per sample; a 1-d array of k
-        pumps gives a (k, stop - start) block, row i for pump i, that must
-        fit the buffers the constructor sized."""
-        pump = np.asarray(pump)
-        column = pump.reshape(-1, 1)
-        samples = slice(start, stop)
-        shape = (column.shape[0], self._q[samples].size)
-        buffers = [buffer[: shape[0] * shape[1]].reshape(shape) for buffer in self._buffers]
-        delay, self._num_sq = self._delay(column, samples, buffers)
-        self._last_limit = self._limit[samples]
-        return delay if pump.ndim else delay[0]
-
-    def at(self, pumps: np.ndarray, index: np.ndarray):
-        """(delay, diverged) of every pump in a 1-d array at the samples
-        index, as (pumps, samples) arrays with the bits that a call on the
-        whole grid gives there."""
-        buffers = np.empty((4, pumps.size, index.size))
-        delay, num_sq = self._delay(pumps.reshape(-1, 1), index, buffers)
-        return delay, num_sq <= self._limit[index]
-
-    def _delay(self, pump, samples, buffers):
-        """The formula on the drive-free values at samples (a slice or an
-        index array) against pump, into buffers; returns (delay, |num|^2)."""
-        num_re, num_im, num_sq, scratch = buffers
-        np.add(self._base_re[samples], pump.real, out=num_re)
-        np.add(self._base_im[samples], pump.imag, out=num_im)
+    def __call__(self, pumps: np.ndarray, samples):
+        """(delay, diverged) for num = base + pumps[i] on the samples, a
+        slice or an index array.  delay is a (pumps, samples) array in us,
+        row i for pumps[i], with inf or nan where a sample diverges.
+        diverged(rows, index) tells whether |num|^2 <= ZERO_GUARD^2 * |den|^2
+        there, index counted within the samples (by default all rows and
+        samples); arrays of rows and indices pair up.  Both read the
+        buffers, which the next call overwrites, and the pumps times the
+        samples must fit them."""
+        column = pumps.reshape(-1, 1)
+        limit = self._limit[samples]
+        shape = (column.shape[0], limit.size)
+        num_re, num_im, num_sq, scratch = (
+            buffer[: shape[0] * shape[1]].reshape(shape) for buffer in self._buffers
+        )
+        np.add(self._base_re[samples], column.real, out=num_re)
+        np.add(self._base_im[samples], column.imag, out=num_im)
         np.multiply(num_re, num_re, out=num_sq)
         np.multiply(num_im, num_im, out=scratch)
         np.add(num_sq, scratch, out=num_sq)
@@ -191,18 +186,11 @@ class _DelayKernel:
             np.divide(delay, num_sq, out=delay)
             np.subtract(self._q[samples], delay, out=delay)
             np.divide(delay, self.divisor, out=delay)
-        return delay, num_sq
 
-    def diverges_at(self, index, row=0):
-        """Whether sample index of the last call's row-th pump is at or
-        below the guard, counted from the call's start; equal-length arrays
-        of indices and rows give one answer per pair."""
-        return self._num_sq[row, index] <= self._last_limit[index]
+        def diverged(rows=slice(None), index=slice(None)):
+            return num_sq[rows, index] <= limit[index]
 
-    def diverged(self, row: int = 0) -> np.ndarray:
-        """The diverged mask of the last call's row-th pump on its samples,
-        |num|^2 <= ZERO_GUARD^2 * |den|^2."""
-        return np.less_equal(self._num_sq[row], self._last_limit)
+        return delay, diverged
 
     def chunk_bounds(self, pumps: np.ndarray):
         """(bounds, centres): bounds[i, j] >= |delay| * divisor, as a call
@@ -325,8 +313,8 @@ def group_delay(
         )
     kernel = _DelayKernel(params, grid.values)
     pump = _drive_coefficient(kernel.pump_scale, drive)
-    delay = kernel(pump)
-    diverged = kernel.diverged()
+    delay, diverged = kernel(np.array([pump]), slice(None))
+    delay, diverged = delay[0], diverged(0)
     t = (kernel.base + pump) / kernel.den
     if method == "finite-difference":
         if grid.count < 3:
@@ -351,10 +339,10 @@ def delay_at(params: SystemParams, drive: DriveField, detuning: float) -> float:
     if not math.isfinite(detuning):
         raise DomainError(f"detuning must be finite, got {detuning}")
     kernel = _DelayKernel(params, np.array([detuning], dtype=float))
-    delay = kernel(_drive_coefficient(kernel.pump_scale, drive))
-    if kernel.diverges_at(0):
+    delay, diverged = kernel(np.array([_drive_coefficient(kernel.pump_scale, drive)]), slice(None))
+    if diverged(0, 0):
         raise DomainError(f"delay diverges at detuning {detuning} (|t_p| ~ 0)")
-    return float(delay[0])
+    return float(delay[0, 0])
 
 
 @dataclass(frozen=True)
@@ -409,7 +397,14 @@ def find_zero_reflection(
         if disc < 0.0:
             return None
         sq = math.sqrt(disc)
-        roots.extend([(-a1 + sq) / (2.0 * a2), (-a1 - sq) / (2.0 * a2)])
+        small, large = sorted([(-a1 + sq) / (2.0 * a2), (-a1 - sq) / (2.0 * a2)], key=abs)
+        # the root nearer 0 is a difference that may cancel.  The polish
+        # restores its digits, but the filter below needs its sign: where
+        # that differs from the sign of the roots' product a0/a2 over the
+        # other root, take the root from that quotient
+        if large != 0.0 and not small * (a0 / (a2 * large)) > 0.0:
+            small = 0.0 + a0 / (a2 * large)
+        roots.extend([small, large])
     candidates = sorted(u for u in roots if u >= 0.0)
     if not candidates:
         return None
@@ -479,8 +474,8 @@ def delay_extremum_vs_ratio(
 
     Consecutive ratios form a block, evaluated by one kernel call on the
     one contiguous range that covers the needed chunks of all its ratios.
-    A block grows while its ratios times its range fit the kernel's buffers
-    of (_BLOCK_SAMPLES // grid.count) * grid.count values, at least one
+    A block grows while its ratios times its range fit in
+    (_BLOCK_SAMPLES // grid.count) * grid.count values, at least one
     ratio on the whole grid; so a block of narrow ranges holds more ratios,
     and with nothing left out the blocks are those of the whole grid.
 
@@ -499,17 +494,18 @@ def delay_extremum_vs_ratio(
     # over drives; _pump_terms checks the rest
     first_drive = DriveField.with_effective_phase(float(ratio_values[0]), phase_eff)
     pumps = _pump_terms(kernel.pump_scale, first_drive, "ratio_delta", ratio_values)
-    capacity = rows * grid.count  # values in each kernel buffer
+    capacity = rows * grid.count  # values in a block
     first = np.empty(ratio_values.size, dtype=int)
     stop = np.empty_like(first)
-    # ratios in groups whose (ratios, chunks) arrays hold about as many
-    # values as a buffer, so memory does not grow with the ratio count
+    # ratios in groups whose (ratios, chunks) arrays fit the kernel's
+    # buffers, so the centres evaluate there and memory does not grow with
+    # the ratio count
     group = rows * _CHUNK_SAMPLES
     for start in range(0, ratio_values.size, group):
         part = slice(start, start + group)
         bounds, centres = kernel.chunk_bounds(pumps[part])
-        centre_delay, diverged = kernel.at(pumps[part], centres)
-        lower = np.max(np.where(diverged, -1.0, np.abs(centre_delay)), axis=1)  # M
+        centre_delay, diverged = kernel(pumps[part], centres)
+        lower = np.max(np.where(diverged(), -1.0, np.abs(centre_delay)), axis=1)  # M
         # a ratio with no normal M needs every sample (nan fails too)
         usable = lower >= np.finfo(float).tiny
         cut = np.where(usable, lower * kernel.divisor * (1.0 - _BOUND_SLACK), -np.inf)
@@ -529,15 +525,15 @@ def delay_extremum_vs_ratio(
         hi = np.maximum.accumulate(stop[start:])
         fits = np.searchsorted(np.arange(1, hi.size + 1) * (hi - lo), capacity, "right")
         end, lo, hi = start + fits, int(lo[fits - 1]), int(hi[fits - 1])
-        delay = kernel(pumps[start:end], lo, hi)
+        delay, diverged = kernel(pumps[start:end], slice(lo, hi))
         magnitude = np.absolute(delay, out=magnitudes[: delay.size].reshape(delay.shape))
         rows_here = index[: end - start]
         picks = np.argmax(magnitude, axis=1)
-        for row in np.flatnonzero(kernel.diverges_at(picks, rows_here)):
-            diverged = kernel.diverged(row)
-            np.putmask(magnitude[row], diverged, -1.0)
+        for row in np.flatnonzero(diverged(rows_here, picks)):
+            mask = diverged(row)
+            np.putmask(magnitude[row], mask, -1.0)
             picks[row] = np.argmax(magnitude[row])
-            if diverged[picks[row]]:
+            if mask[picks[row]]:
                 raise DomainError(f"all samples diverged at ratio {float(ratio_values[start + row])}")
         out[start:end] = delay[rows_here, picks]
         start = end

@@ -456,8 +456,12 @@ def _levenberg_marquardt(problem: FitProblem, initial: SystemParams, x, lower):
                 message = f"evaluation cap of {max_evaluations} reached"
                 return x, point, residual, jac, gradient, norms, evaluations, False, message
             evaluations += 1
+            # D^2 of a rate near 1e-151 MHz is near 1e301, so a large damping
+            # overflows it; an infinite diagonal makes a trial that is rejected
+            with np.errstate(over="ignore"):
+                diagonal = damping * scale**2
             try:
-                step = np.linalg.solve(gram + np.diag(damping * scale**2), -gradient)
+                step = np.linalg.solve(gram + np.diag(diagonal), -gradient)
             except np.linalg.LinAlgError:
                 step = np.full(x.size, np.nan)
             trial = _trial_residual(problem, initial, x + step, lower)
@@ -474,7 +478,8 @@ def _levenberg_marquardt(problem: FitProblem, initial: SystemParams, x, lower):
         reduction = cost - trial_cost
         # Nielsen's predicted reduction; a gain ratio above 1 acts as 1, which
         # also covers a prediction that rounding has made nonpositive
-        predicted = 0.5 * float(step @ (damping * scale**2 * step - gradient))
+        with np.errstate(over="ignore"):
+            predicted = 0.5 * float(step @ (diagonal * step - gradient))
         ratio = reduction / max(predicted, reduction)
         damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
         growth = 2.0

@@ -157,11 +157,8 @@ class SpectrumTrace:
 
     @cached_property
     def db(self) -> np.ndarray:
-        magnitude = self.magnitude
-        with np.errstate(divide="ignore"):
-            db = np.where(
-                magnitude > 0.0, 20.0 * np.log10(np.where(magnitude > 0.0, magnitude, 1.0)), -np.inf
-            )
+        with np.errstate(divide="ignore"):  # -inf at an exact zero
+            db = 20.0 * np.log10(self.magnitude)
         db.flags.writeable = False
         return db
 
@@ -240,16 +237,20 @@ def _wrap_trace(grid: DetuningGrid, t: np.ndarray) -> SpectrumTrace:
 
 def _median(values: np.ndarray) -> float:
     """np.median of a 1-d float array, bit for bit: the same partition
-    (nan sorts last and wins) and the same np.mean of the middle one or two.
+    (nan sorts last and wins) and the arithmetic of np.mean on the middle
+    one or two, whose sum starts at +0.0 (so the median of -0.0 is +0.0).
     np.median itself imports numpy.ma on its first call, which a cold
-    command would pay for."""
+    command would pay for, and np.mean costs more than the rest here."""
     size = values.size
     half = size // 2
     odd = size % 2
     part = np.partition(values, [half, -1] if odd else [half - 1, half, -1])
     if np.isnan(part[-1]):
         return float(part[-1])
-    return float(np.mean(part[half - 1 + odd : half + 1]))
+    if odd:
+        return 0.0 + float(part[half])
+    low, high = part[half - 1 : half + 1].tolist()
+    return (0.0 + low + high) / 2.0
 
 
 def _outer(samples: np.ndarray) -> np.ndarray:

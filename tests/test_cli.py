@@ -968,6 +968,20 @@ _FREE_LISTS = st.one_of(
     overrides={},
     options={"max_ratio": None, "count": 1, "seed": 0, "tol": 1e-12, "free": "coupling_g"},
 )
+@example(
+    text="[system]\ng = 7.6e-152\nkappa_c = 1.1390000000000002e-150\nkappa_m = 1.2e-152\n"
+    "kappa_c1 = 2.18e-151\nkappa_m1 = 6e-153\ncavity_freq = 3e-152\n"
+    "magnon_freq = -2e-152\n[drive]\ndelta = 1.2\nphi = 1.0995574287564276\n"
+    "phi0 = 0.0\nprobe_amp = 1.0\n"
+    "[grid]\nstart = -6e-151\nstop = 6e-151\ncount = 2\n",
+    ratios=[0.0],
+    phases=[0.0],
+    phase_eff=0.0,
+    overrides={},
+    options={
+        "max_ratio": None, "count": 1, "seed": 0, "tol": 1e-12, "free": "coupling_g,phase_offset"
+    },
+)
 @settings(max_examples=examples(40), deadline=None)
 def test_dispatch_property_on_generated_configs(
     text, ratios, phases, phase_eff, overrides, options
@@ -980,7 +994,10 @@ def test_dispatch_property_on_generated_configs(
     underflowed to zero and the standard error overflowed.  In the second,
     the free phase_offset is near 1.3e154, and the norm of the fit's
     parameter vector once overflowed.  In the third, a window of the
-    oracle's integrator is about 1e20 steps, and its map once overflowed."""
+    oracle's integrator is about 1e20 steps, and its map once overflowed.
+    In the fourth, every rate is near 1e-151 MHz, so the fit's squared
+    column scale of coupling_g is near 1e301, and its damped diagonal once
+    overflowed."""
     drive = [f"--{key}={value!r}" for key, value in overrides.items()]
     max_ratio = options["max_ratio"]
     codes = []

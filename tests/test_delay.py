@@ -279,6 +279,15 @@ class TestFindZeroReflection:
         device = SystemParams(3.0, -2.0, 2.225073858507203e-309, 113.9, 1.2, 21.8, 0.6)
         assert find_zero_reflection(device, 0.0) is None
 
+    def test_root_near_zero_keeps_its_sign(self):
+        # g^2 is 2e-150 of the other rates, so at every phase the quadratic's
+        # root near 0 cancelled to -0.0, which was reported as delta*; the
+        # zero near the axis crosses it at a negative ratio at phase 0 and at
+        # about 1.5e-75 at phase -2
+        device = SystemParams(0.0, 1.0, 2.7956331359531333e-75, 1.0, 1.0, 0.5, 1.0)
+        assert find_zero_reflection(device, 0.0).ratio_delta > 1e74
+        assert 1e-75 < find_zero_reflection(device, -2.0).ratio_delta < 2e-75
+
     @pytest.mark.parametrize("phase_eff", [math.inf, -math.inf, math.nan])
     def test_non_finite_phase_is_rejected(self, params, phase_eff):
         # inf once failed in math.cos and nan returned None; an uncoupled
@@ -495,8 +504,9 @@ class TestExtremumMask:
         grid = DetuningGrid.from_values(root.detuning + 0.05 * np.arange(-40, 41))
         kernel = _DelayKernel(params, grid.values)
         drive = DriveField.with_effective_phase(root.ratio_delta, self.PHASE)
-        delay = kernel(_pump_term(kernel.pump_scale, drive.ratio_delta, drive.effective_phase))
-        diverged = kernel.diverged()
+        pump = _pump_term(kernel.pump_scale, drive.ratio_delta, drive.effective_phase)
+        [delay], diverged = kernel(np.array([pump]), slice(None))
+        diverged = diverged(0)
         assert diverged[int(np.argmax(np.abs(delay)))] and not diverged.all()
         ratios = [root.ratio_delta]
         result = delay_extremum_vs_ratio(params, self.PHASE, ratios, grid)
@@ -563,8 +573,9 @@ class TestExtremumBlocks:
         grid = DetuningGrid.from_values(root.detuning + 0.005 * np.arange(-2000, 2001))
         assert _BLOCK_SAMPLES // grid.count == 8
         kernel = _DelayKernel(params, grid.values)
-        delay = kernel(_pump_term(kernel.pump_scale, root.ratio_delta, self.PHASE))
-        assert kernel.diverged()[int(np.argmax(np.abs(delay)))]
+        pump = _pump_term(kernel.pump_scale, root.ratio_delta, self.PHASE)
+        [delay], diverged = kernel(np.array([pump]), slice(None))
+        assert diverged(0)[int(np.argmax(np.abs(delay)))]
         ratios = np.linspace(0.0, 4.0, 13)
         ratios[[3, 5, 10]] = root.ratio_delta
         result = delay_extremum_vs_ratio(params, self.PHASE, ratios, grid)
@@ -594,9 +605,9 @@ class TestExtremumPruning:
         bounds, centres = kernel.chunk_bounds(pumps)
         chunk = np.arange(grid.count) // _CHUNK_SAMPLES
         assert np.array_equal(chunk[centres], np.arange(centres.size))
-        delay = kernel(pumps)
+        delay, diverged = kernel(pumps, slice(None))
         for row in range(len(ratios)):
-            kept = ~kernel.diverged(row)
+            kept = ~diverged(row)
             size = np.abs(delay[row][kept]) * kernel.divisor
             assert np.all(size <= bounds[row][chunk[kept]])
 
@@ -611,9 +622,10 @@ class TestExtremumPruning:
         ranges = []
         call = _DelayKernel.__call__
 
-        def spy(kernel, pump, start=0, stop=None):
-            ranges.append((start, stop))
-            return call(kernel, pump, start, stop)
+        def spy(kernel, pumps, samples):
+            if isinstance(samples, slice):  # a block, not the chunk centres
+                ranges.append((samples.start, samples.stop))
+            return call(kernel, pumps, samples)
 
         monkeypatch.setattr(_DelayKernel, "__call__", spy)
         result = delay_extremum_vs_ratio(params, self.PHASE, ratios, grid)
@@ -742,6 +754,23 @@ def quadratic_roots(b, c):
     return roots
 
 
+def num_zeros(r, pump):
+    """The zeros of num = base + pump, in the core r's scaled units (see
+    lorentzian_delay)."""
+    a = r.kappa_c - 2.0 * r.kappa_c1
+    return quadratic_roots(
+        1j * (r.kappa_m + a) - r.offset, a * r.kappa_m + r.g * r.g + 1j * r.offset * a + pump
+    )
+
+
+def den_poles(r):
+    """The zeros of den, in the core r's scaled units (see lorentzian_delay)."""
+    return quadratic_roots(
+        1j * (r.kappa_m + r.kappa_c) - r.offset,
+        r.kappa_c * r.kappa_m + r.g * r.g + 1j * r.offset * r.kappa_c,
+    )
+
+
 def lorentzian_delay(params, drive, grid, root_ulps):
     """(delay, magnitude, allowance): the delay as a sum of Lorentzians,
     the sum of their magnitudes, and what zeros of num good to root_ulps
@@ -760,14 +789,8 @@ def lorentzian_delay(params, drive, grid, root_ulps):
     scale 2^k, so the sum is too.  A zero off by e moves its Lorentzian by
     up to about e/|x - r|^2; a double zero gets an infinite allowance."""
     r = _Response(params, grid.values)
-    a = r.kappa_c - 2.0 * r.kappa_c1
-    g2 = r.g * r.g
-    c = _drive_coefficient(r.pump_scale, drive)
-    zeros = quadratic_roots(1j * (r.kappa_m + a) - r.offset, a * r.kappa_m + g2 + 1j * r.offset * a + c)
-    poles = quadratic_roots(
-        1j * (r.kappa_m + r.kappa_c) - r.offset,
-        r.kappa_c * r.kappa_m + g2 + 1j * r.offset * r.kappa_c,
-    )
+    zeros = num_zeros(r, _drive_coefficient(r.pump_scale, drive))
+    poles = den_poles(r)
     x = grid.values * r.scale
     gap = abs(zeros[0] - zeros[1])
     error = root_ulps * 2.0**-53 / gap if gap else math.inf
@@ -859,6 +882,74 @@ class TestLorentzianSum:
                 ratio = zero.ratio_delta * (1.0 + nudge)
                 drive = DriveField.with_effective_phase(ratio, drive.effective_phase)
         self.assert_matches(params, drive, k)
+
+
+class TestZeroCrossing:
+    """The paper's transition is the ratio where a zero of num crosses the
+    real axis, where t_p = 0: find_zero_reflection's delta*.  Counted from
+    num's own zeros in the core's scaled units, the zeros above the axis
+    first change in number between the two ratios around delta*, and never
+    change where no delta* is found.
+
+    The ratios are those of a scan from 0 to 2 * delta* in steps of
+    delta* / 20 (0 to 4 without a zero), plus delta* * (1 -+ 1e-6).  A
+    ratio within 1e-9 of delta* is skipped, and so is one where a zero of
+    num lies within find_zero_reflection's own tolerance of the axis
+    (|num| <= 1e-15 |den| at its real part): the solver cannot tell those
+    from delta*.  The examples failed without these rules.  In the first,
+    one zero crosses down at delta* and the other up at about 1.04 *
+    delta*, so the count is the same either side of a step.  In the second,
+    |num| is below 1e-15 |den| from ratio 0 to past 2 * delta*, and the
+    zero crosses about 1.5% below delta*; no ratio is kept.  In the third
+    the zeros sit on the axis at ratio 0, where kappa_m + kappa_c -
+    2*kappa_c1 = 0 and no delta* is reported.  The fourth found a fault:
+    a zero 2e-150 above the axis at ratio 0 crosses it at a negative ratio,
+    and find_zero_reflection reported delta* = -0.0, a root of its
+    quadratic that had cancelled to zero
+    (TestFindZeroReflection.test_root_near_zero_keeps_its_sign).  Where no
+    kept ratio lies on one side of delta* (at delta* = 0, none lies below
+    it), the count only may not change before delta*."""
+
+    @given(valid_params(), st.integers(-600, 150), st.floats(-20.0, 20.0))
+    @example(SystemParams(0.0, -4.0, 1.0, 11.0, 8.0, 9.625, 8.0), 0, 2.0)
+    @example(SystemParams(1.0, 0.0, 5.960464477539063e-08, 1.0, 0.1, 0.5, 0.1), 0, 0.0)
+    @example(SystemParams(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0), 0, 0.0)
+    @example(SystemParams(0.0, 1.0, 2.7956331359531333e-75, 1.0, 1.0, 0.5, 1.0), 0, 0.0)
+    @settings(max_examples=examples(200), deadline=None)
+    def test_property_count_changes_at_the_zero(self, params, k, phase_eff):
+        params = scaled(params, k)
+        zero = find_zero_reflection(params, phase_eff)
+        if zero is None:
+            ratios = np.linspace(0.0, 4.0, 41)
+        else:
+            steps = np.sort(np.append(np.linspace(0.0, 2.0, 41), [1.0 - 1e-6, 1.0 + 1e-6]))
+            with np.errstate(over="ignore"):  # 2 * delta* may pass the largest double
+                ratios = steps * zero.ratio_delta
+            ratios = ratios[np.isfinite(ratios)]
+            ratios = ratios[~(np.abs(ratios - zero.ratio_delta) <= 1e-9 * zero.ratio_delta)]
+        r = _Response(params, 0.0)  # find_zero_reflection's units
+        poles = den_poles(r)
+        kept, above = [], []
+        for ratio in ratios:
+            r1, r2 = num_zeros(r, _pump_term(r.pump_scale, ratio, phase_eff))
+            # |num| against 1e-15 |den| at the real part of each zero
+            if all(
+                abs(z.imag) * abs(z.real - other)
+                > 1e-15 * abs(z.real - poles[0]) * abs(z.real - poles[1])
+                for z, other in ((r1, r2), (r2, r1))
+            ):
+                kept.append(ratio)
+                above.append((r1.imag > 0.0) + (r2.imag > 0.0))
+        changes = np.flatnonzero(np.diff(above))
+        if zero is None:
+            assert changes.size == 0, above
+            return
+        below = int(np.searchsorted(kept, zero.ratio_delta))  # kept ratios below delta*
+        last = changes[0] if changes.size else len(kept) - 1  # the last before a change
+        if 0 < below < len(kept):
+            assert last == below - 1, (kept, above)
+        else:  # no kept ratio on one side of delta*
+            assert last >= below - 1, (kept, above)
 
 
 class TestUnderflowingRates:

@@ -12,7 +12,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import examples, valid_drives, valid_params
@@ -143,11 +143,19 @@ class TestTrace:
             SpectrumTrace(grid=grid, t=np.ones(4, dtype=complex))
 
     def test_db_has_sentinel_at_exact_zero(self):
-        grid = DetuningGrid(-1.0, 1.0, 3)
-        spectrum = SpectrumTrace(grid=grid, t=np.array([1.0, 0.0, 0.5 + 0.5j]))
+        grid = DetuningGrid(-1.0, 1.0, 5)
+        t = np.array([1.0, 0.0, 0.5 + 0.5j, 5e-324j, -2.5e-310 + 1e-310j])
+        spectrum = SpectrumTrace(grid=grid, t=t)
         assert spectrum.db[0] == 0.0
         assert spectrum.db[1] == -math.inf
-        assert np.isfinite(spectrum.db[2])
+        assert np.all(np.isfinite(spectrum.db[[0, 2, 3, 4]]))
+        # the form that masked the zero before taking the logarithm
+        magnitude = np.abs(t)
+        with np.errstate(divide="ignore"):
+            masked = np.where(
+                magnitude > 0.0, 20.0 * np.log10(np.where(magnitude > 0.0, magnitude, 1.0)), -np.inf
+            )
+        assert spectrum.db.tobytes() == masked.tobytes()
 
     def test_rates_near_1e_minus_170_equal_the_lifted_device(self):
         # the unscaled den ~ 1e-340 would underflow to 0; the prescaled core
@@ -250,6 +258,11 @@ _MEDIAN_POOL = st.one_of(
     st.integers(-2, 2).map(float),
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
 )
+_MEDIAN_EDGES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(-1e-300, 1e-300),  # subnormals and the smallest normals
+    st.floats(min_value=1e300) | st.floats(max_value=-1e300),  # huge and infinite
+)
 
 
 class TestMedian:
@@ -267,6 +280,22 @@ class TestMedian:
         values = np.where(
             rng.random(size) < pool_share, rng.choice(np.array(pool), size), rng.normal(size=size)
         )
+        with np.errstate(all="ignore"):
+            expected = np.median(values)
+            got = _median(values)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @settings(max_examples=examples(200), deadline=None)
+    @given(st.lists(_MEDIAN_EDGES, min_size=1, max_size=130))
+    @example([-0.0])
+    @example([-0.0, -0.0])
+    @example([5e-324, -0.0, math.inf])
+    @example([1.7976931348623157e308, 1.7976931348623157e308])
+    def test_edge_values_equal_numpy_median_bit_for_bit(self, values):
+        # every sample an edge value, so the middle one or two are too:
+        # signed zeros that np.mean's +0.0 start turns positive, subnormals,
+        # sums that overflow and inf - inf
+        values = np.array(values)
         with np.errstate(all="ignore"):
             expected = np.median(values)
             got = _median(values)
